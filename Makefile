@@ -8,12 +8,15 @@
 # case study, a survivability smoke run (k=1 synthesis must absorb
 # every single-link fault with zero re-routing), and a result-cache
 # smoke run (second synthesis of an unchanged spec must be a full hit,
-# and warm-started re-synthesis must stay bit-identical to cold).
+# and warm-started re-synthesis must stay bit-identical to cold), and
+# the benchmark module's own vet and tests (perfbench/ is a separate Go
+# module that imports the internal packages, so `go test ./...` at the
+# root never compiles it).
 GO ?= go
 
-.PHONY: ci vet fmt lint surface build test race bench bench-analysis bench-smoke bench-all campaign-smoke survive-smoke cache-smoke prune-smoke
+.PHONY: ci vet fmt lint surface build test race bench bench-analysis bench-smoke bench-all campaign-smoke survive-smoke cache-smoke prune-smoke perfbench-test
 
-ci: vet fmt lint surface build race bench-smoke campaign-smoke survive-smoke cache-smoke prune-smoke
+ci: vet fmt lint surface build race bench-smoke campaign-smoke survive-smoke cache-smoke prune-smoke perfbench-test
 
 vet:
 	$(GO) vet ./...
@@ -159,3 +162,10 @@ cache-smoke:
 prune-smoke:
 	$(GO) test -run 'TestSynthesizeOracleIdentity|TestBoundsAdmissibility' ./internal/core/
 	$(GO) test -bench=SynthesizePrune -benchtime=3x -run='^$$' . | $(GO) run ./tools/bench2json -o '' -prune-floor 1.3
+
+# perfbench-test vets and tests the benchmark module (perfbench/, see
+# BENCHMARK.json): it breaks when an engine change no longer compiles
+# against the benchmark, or when the benchmark's replay of the engine
+# layers stops reproducing the engine's results bit for bit.
+perfbench-test:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...

@@ -48,7 +48,13 @@ import (
 // options digest, routed topologies can carry backup paths, and the
 // campaign report grew zero-re-route accounting, so v2 entries no
 // longer describe the engine surface.
-const EngineVersion = 3
+//
+// v4: one sweep engine behind Synthesize and SynthesizeSweep (shared
+// setup, diagonal and factorial geometries over one index space, a
+// first-touch per-(island, k) partition table, one driver). The golden
+// result digests prove every result unchanged; the bump re-records the
+// engine surface, whose functions moved.
+const EngineVersion = 4
 
 // Entry classes: the subdirectory an artifact kind lives under. Keys
 // are only unique within a class.

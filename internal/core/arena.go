@@ -10,23 +10,37 @@ import (
 	"nocvi/internal/topology"
 )
 
-// sweepEnv is the read-only context shared by every worker of one
-// synthesis sweep: the spec, the library, the step-1/2 outcomes and the
-// pre-sorted flow list. Workers never write through it.
+// sweepEnv is the context shared by every worker of one sweep: the
+// spec, the library, the step-1/2 outcomes, the intermediate-switch
+// range, the partition table and the pre-sorted flow list, all built by
+// newSweepEnv. Workers write through it in exactly two places: the
+// partition table's first-touch entries (each behind its own once
+// latch) and the incumbent pruner's atomic slots.
 type sweepEnv struct {
 	spec        *soc.Spec
 	lib         *model.Library
 	opt         Options
 	freqs       []float64
+	maxSizes    []int
+	minSwitches []int
 	midFreq     float64
+	maxMid      int
 	islandCores [][]soc.CoreID
 	flows       []soc.Flow // decreasing-bandwidth order, shared read-only
+	table       *partTable
 
-	// pruner is the shared incumbent bound of the branch-and-bound
-	// layer; nil when pruning is off (Options.NoPrune, or a
-	// MaxDesignPoints cap in Synthesize). Its atomic slots are the one
-	// piece of sweep-wide state workers write through the env.
+	// bounds is the branch-and-bound layer's precomputed environment
+	// (bounds.go); nil under Options.NoPrune. pruner is the shared
+	// incumbent bound; nil when pruning is off (NoPrune, or a
+	// MaxDesignPoints cap in Synthesize, which keeps only bounds'
+	// infeasibility proofs).
+	bounds *boundsEnv
 	pruner *incumbentPruner
+
+	// ordered marks Synthesize's ordered keep-all fold: incumbent
+	// witnesses must then precede the candidate they prune (see
+	// evaluate). The bounded sweep collectors accept any witness.
+	ordered bool
 }
 
 // buildContext is one worker's reusable build arena: the pooled
@@ -51,17 +65,14 @@ type buildContext struct {
 	router  *route.Router      // nil until first use
 	scratch graph.Scratch      // pinned to router, replaces pool traffic
 	fp      floorplan.Scratch
-	part    partition.Scratch // worker-owned min-cut buffers for first-touch vecParts resolution
+	part    partition.Scratch // worker-owned min-cut buffers for first-touch partition-table entries
 
-	// pruneIdx is the current candidate's sweep index, set before each
-	// evaluation; buildPoint's staged bound check only accepts incumbent
-	// witnesses with a strictly smaller index. The zero value disables
-	// staged pruning (nothing precedes candidate 0), which is exactly
-	// right for fresh contexts such as the sweep winners' rebuild.
-	// stagePruned is buildPoint's out-of-band flag that its error was
-	// errStagePruned; safeEval transfers it onto the outcome.
-	pruneIdx    uint64
-	stagePruned bool
+	// pruneIdx bounds the incumbent witnesses buildPoint's staged bound
+	// check accepts (strictly smaller candidate index), set before each
+	// evaluation. The zero value disables staged pruning (nothing
+	// precedes candidate 0), which is exactly right for fresh contexts
+	// such as the sweep winners' rebuild.
+	pruneIdx uint64
 }
 
 // newBuildContext creates an empty arena for one worker. Buffers grow

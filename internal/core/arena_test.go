@@ -4,71 +4,54 @@ import (
 	"context"
 	"reflect"
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
 	"time"
 
 	"nocvi/internal/bench"
 	"nocvi/internal/model"
+	"nocvi/internal/partition"
 	"nocvi/internal/soc"
-	"nocvi/internal/vcg"
 )
 
-// newTestSweep mirrors SynthesizeContext's setup up to the sweep
-// itself, exposing the environment, partitioner and candidate list so
-// tests can drive buildPoint directly.
-func newTestSweep(t *testing.T, spec *soc.Spec, lib *model.Library, opt Options) (*sweepEnv, *partitioner, []candidate) {
+// candidate is one decoded (switch-count vector, intermediate-switch
+// count) pair of a test sweep.
+type candidate struct {
+	counts []int
+	mid    int
+}
+
+// newTestSweep runs the engine's shared setup and decodes Synthesize's
+// diagonal geometry, exposing the environment (with its partition
+// table) and the candidate list so tests can drive buildPoint directly.
+func newTestSweep(t *testing.T, spec *soc.Spec, lib *model.Library, opt Options) (*sweepEnv, []candidate) {
 	t.Helper()
-	freqs, maxSizes, err := IslandClocks(spec, lib)
+	env, err := newSweepEnv(spec, lib, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	nIsl := len(spec.Islands)
-	minSw := make([]int, nIsl)
-	islandCores := make([][]soc.CoreID, nIsl)
-	maxCores := 0
-	for j := 0; j < nIsl; j++ {
-		islandCores[j] = spec.CoresIn(soc.IslandID(j))
-		usable := maxSizes[j] - 1
-		if usable < 1 {
-			t.Fatalf("island %d infeasible", j)
+	sp := env.diagonal()
+	cands := make([]candidate, sp.size())
+	for i := range cands {
+		cands[i].counts = make([]int, len(spec.Islands))
+		cands[i].mid = sp.decode(uint64(i), cands[i].counts)
+	}
+	return env, cands
+}
+
+// cut resolves candidate c's per-island partitions through the table
+// entries (and sc), or returns nil when some island has no k-way cut.
+func cut(env *sweepEnv, c candidate, sc *partition.Scratch) [][]int {
+	parts := make([][]int, len(c.counts))
+	for j, k := range c.counts {
+		e := env.table.entry(j, k, sc)
+		if e.err != nil {
+			return nil
 		}
-		minSw[j] = (len(islandCores[j]) + usable - 1) / usable
-		if minSw[j] < 1 {
-			minSw[j] = 1
-		}
-		if len(islandCores[j]) > maxCores {
-			maxCores = len(islandCores[j])
-		}
+		parts[j] = e.part
 	}
-	vcgs, err := vcg.BuildAll(spec, opt.alpha())
-	if err != nil {
-		t.Fatal(err)
-	}
-	maxMid := opt.MaxIntermediateSwitches
-	if maxMid <= 0 {
-		maxMid = maxCores
-	}
-	if !opt.AllowIntermediate {
-		maxMid = 0
-	}
-	midFreq := lib.FreqGridHz
-	for _, f := range freqs {
-		if f > midFreq {
-			midFreq = f
-		}
-	}
-	env := &sweepEnv{
-		spec:        spec,
-		lib:         lib,
-		opt:         opt,
-		freqs:       freqs,
-		midFreq:     midFreq,
-		islandCores: islandCores,
-		flows:       spec.SortFlowsByBandwidth(),
-	}
-	parter := newPartitioner(vcgs, maxSizes, opt)
-	return env, parter, enumerateCandidates(minSw, islandCores, maxCores, maxMid)
+	return parts
 }
 
 // sameBuiltPoint asserts two independently built design points are
@@ -112,7 +95,7 @@ func TestArenaNoStateLeak(t *testing.T) {
 	spec := miniSoC()
 	lib := model.Default65nm()
 	opt := Options{AllowIntermediate: true, MaxIntermediateSwitches: 2}
-	env, parter, cands := newTestSweep(t, spec, lib, opt)
+	env, cands := newTestSweep(t, spec, lib, opt)
 
 	// Pick one feasible candidate per distinct counts vector, up to
 	// four, then replay the first again (A-B-...-A). Vectors are
@@ -121,15 +104,17 @@ func TestArenaNoStateLeak(t *testing.T) {
 	// vector — so the replayed builds consume partitions computed off
 	// an already-dirtied scratch, exactly as a sweep worker would see.
 	var picks []candidate
-	seen := map[*vecParts]bool{}
+	var pickParts [][][]int
 	resolver := newBuildContext(env)
 	for _, c := range cands {
-		parter.resolve(c.vec, &resolver.part)
-		if c.vec.err != nil || seen[c.vec] {
+		// Diagonal vectors are distinct and mid varies fastest, so a
+		// repeat of a vector always follows its previous pick.
+		parts := cut(env, c, &resolver.part)
+		if parts == nil || len(picks) > 0 && slices.Equal(picks[len(picks)-1].counts, c.counts) {
 			continue
 		}
-		seen[c.vec] = true
 		picks = append(picks, c)
+		pickParts = append(pickParts, parts)
 		if len(picks) == 4 {
 			break
 		}
@@ -138,16 +123,17 @@ func TestArenaNoStateLeak(t *testing.T) {
 		t.Fatalf("need at least two distinct feasible counts vectors, got %d", len(picks))
 	}
 	picks = append(picks, picks[0])
+	pickParts = append(pickParts, pickParts[0])
 
 	shared := newBuildContext(env)
 	for i, c := range picks {
-		fresh, err := buildPoint(newBuildContext(env), c.vec.counts, c.vec.parts, c.mid)
+		fresh, err := buildPoint(newBuildContext(env), c.counts, pickParts[i], c.mid)
 		if err != nil {
-			t.Fatalf("pick %d (%v/%d): fresh build failed: %v", i, c.vec.counts, c.mid, err)
+			t.Fatalf("pick %d (%v/%d): fresh build failed: %v", i, c.counts, c.mid, err)
 		}
-		reused, err := buildPoint(shared, c.vec.counts, c.vec.parts, c.mid)
+		reused, err := buildPoint(shared, c.counts, pickParts[i], c.mid)
 		if err != nil {
-			t.Fatalf("pick %d (%v/%d): arena build failed: %v", i, c.vec.counts, c.mid, err)
+			t.Fatalf("pick %d (%v/%d): arena build failed: %v", i, c.counts, c.mid, err)
 		}
 		sameBuiltPoint(t, "pick "+string(rune('0'+i)), fresh, reused)
 		if fresh.Top == reused.Top {
@@ -206,38 +192,41 @@ func TestMidSweepCancellationDrainsWorkers(t *testing.T) {
 	}
 }
 
-// TestVectorResolutionRace hammers the first-touch once latch that
-// replaced coordinator-side partition resolution: for each distinct
-// counts-vector, a pack of goroutines calls resolve at the same
+// TestVectorResolutionRace hammers the first-touch once latch of the
+// partition table: for each (island, switch count) entry the diagonal
+// sweep decodes, a pack of goroutines resolves the entry at the same
 // instant, each through its own worker arena's partition scratch.
 // Exactly one racer runs the resolution; every racer must then observe
-// the same immutable partition set, equal to a serial resolution on a
-// fresh partitioner. Under -race this is the regression test proving
-// the latch publishes vecParts safely with no coordinator in the loop.
+// the same immutable partition, equal to a serial resolution on a fresh
+// table. Under -race this is the regression test proving the latch
+// publishes entries safely with no coordinator in the loop.
 func TestVectorResolutionRace(t *testing.T) {
 	spec := miniSoC()
 	lib := model.Default65nm()
 	opt := Options{AllowIntermediate: true, MaxIntermediateSwitches: 2}
-	env, parter, cands := newTestSweep(t, spec, lib, opt)
-	_, refParter, _ := newTestSweep(t, spec, lib, opt)
+	env, cands := newTestSweep(t, spec, lib, opt)
+	ref, _ := newTestSweep(t, spec, lib, opt)
 
-	var vecs []*vecParts
-	seen := map[*vecParts]bool{}
+	type jk struct{ j, k int }
+	var keys []jk
+	seen := map[jk]bool{}
 	for _, c := range cands {
-		if !seen[c.vec] {
-			seen[c.vec] = true
-			vecs = append(vecs, c.vec)
+		for j, k := range c.counts {
+			if !seen[jk{j, k}] {
+				seen[jk{j, k}] = true
+				keys = append(keys, jk{j, k})
+			}
 		}
 	}
-	if len(vecs) < 2 {
-		t.Fatalf("want several distinct vectors, got %d", len(vecs))
+	if len(keys) < 2 {
+		t.Fatalf("want several distinct entries, got %d", len(keys))
 	}
 
 	const racers = 32
-	for _, vec := range vecs {
+	for _, key := range keys {
 		var start, done sync.WaitGroup
 		start.Add(1)
-		views := make([][][]int, racers)
+		views := make([][]int, racers)
 		errs := make([]error, racers)
 		for r := 0; r < racers; r++ {
 			done.Add(1)
@@ -245,24 +234,23 @@ func TestVectorResolutionRace(t *testing.T) {
 			go func(r int, bc *buildContext) {
 				defer done.Done()
 				start.Wait()
-				parter.resolve(vec, &bc.part)
-				views[r] = vec.parts
-				errs[r] = vec.err
+				e := env.table.entry(key.j, key.k, &bc.part)
+				views[r] = e.part
+				errs[r] = e.err
 			}(r, bc)
 		}
 		start.Done()
 		done.Wait()
 
-		ref := &vecParts{counts: vec.counts}
-		refParter.resolve(ref, nil)
+		want := ref.table.entry(key.j, key.k, nil)
 		for r := 0; r < racers; r++ {
-			if (errs[r] == nil) != (ref.err == nil) {
-				t.Fatalf("vector %v racer %d: err %v, serial reference err %v",
-					vec.counts, r, errs[r], ref.err)
+			if (errs[r] == nil) != (want.err == nil) {
+				t.Fatalf("island %d k=%d racer %d: err %v, serial reference err %v",
+					key.j, key.k, r, errs[r], want.err)
 			}
-			if !reflect.DeepEqual(views[r], ref.parts) {
-				t.Fatalf("vector %v racer %d saw partitions %v, serial reference %v",
-					vec.counts, r, views[r], ref.parts)
+			if !reflect.DeepEqual(views[r], want.part) {
+				t.Fatalf("island %d k=%d racer %d saw partition %v, serial reference %v",
+					key.j, key.k, r, views[r], want.part)
 			}
 		}
 	}

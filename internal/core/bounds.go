@@ -4,7 +4,10 @@
 // Every candidate of the sweep is a (switch-count vector, intermediate
 // switch count) pair. Before the expensive buildPoint pipeline runs,
 // this layer computes two candidate-local lower bounds from the spec and
-// the candidate's partitions alone:
+// the candidate's partitions alone. Each partition-table entry carries
+// its island's share (islandPiece, resolved once per (island, k) with
+// the cut), and the table's lookup sums the shares of a candidate's
+// islands and closes them with combine:
 //
 //   - a power bound: the exact NI dynamic power (it depends only on the
 //     spec's aggregate core bandwidth), an admissible FIFO term (every
@@ -26,18 +29,19 @@
 // candidate could have become. Exact metric ties are never pruned,
 // which keeps the argmin tie-break chains intact. The same arithmetic
 // yields fast infeasibility proofs (port-capacity and minimum-latency
-// checks) that skip partitioning entirely.
+// checks); the port-capacity one (islandInfeasible) needs no cut, so a
+// candidate it dooms is dismissed before any min-cut runs.
 //
 // The incumbent is shared across workers through a few atomic slots
 // that only ever tighten (CAS min-loops under different scalarization
 // keys). Which worker published an incumbent first is schedule-
 // dependent, so pruning decisions alone would not be reproducible;
-// Synthesize therefore re-checks every completed candidate canonically
-// at fold time (see prunedBy and collect), which makes Points identical
-// for every worker count, and the streaming sweep's collectors are
-// winner-invariant under any sound removal (see stream.go). PruneStats
-// reports what happened; it is bookkeeping, never part of a result's
-// identity.
+// Synthesize's ordered fold therefore re-checks every completed
+// candidate canonically (see prunedBy and keepAll.fold), which makes
+// Points identical for every worker count, and the streaming sweep's
+// bounded collectors are winner-invariant under any sound removal (see
+// stream.go). PruneStats reports what happened; it is bookkeeping,
+// never part of a result's identity.
 package core
 
 import (
@@ -263,21 +267,6 @@ func (be *boundsEnv) islandInfeasible(j, k int) bool {
 	return be.interEgress[j] > capW || be.interIngress[j] > capW
 }
 
-// vectorInfeasible is the pre-partition infeasibility check for one
-// switch-count vector: a provably-doomed vector is skipped before any
-// min-cut runs.
-func (be *boundsEnv) vectorInfeasible(counts []int) bool {
-	if be.specInfeasible {
-		return true
-	}
-	for j, k := range counts {
-		if be.islandInfeasible(j, k) {
-			return true
-		}
-	}
-	return false
-}
-
 // islandPiece computes island j's contribution to the candidate-local
 // bounds once its partition is known: the summed minimum switch dynamic
 // power (each switch at least its attached cores plus one boundary port
@@ -348,27 +337,6 @@ func (be *boundsEnv) combine(swPowerW float64, crossFlows int) (powerLB, latLB f
 		latLB = (be.latSumBase + step*float64(crossFlows)) / float64(be.nFlows)
 	}
 	return powerLB, latLB
-}
-
-// vectorBounds assembles one counts-vector's bounds from its resolved
-// partitions. skip reports provable infeasibility; the bounds are then
-// meaningless.
-func (be *boundsEnv) vectorBounds(counts []int, parts [][]int) (powerLB, latLB float64, skip bool) {
-	if be.specInfeasible {
-		return 0, 0, true
-	}
-	var sw float64
-	cross := 0
-	for j, k := range counts {
-		pw, c, bad := be.islandPiece(j, k, parts[j])
-		if bad {
-			return 0, 0, true
-		}
-		sw += pw
-		cross += c
-	}
-	powerLB, latLB = be.combine(sw, cross)
-	return powerLB, latLB, false
 }
 
 // pruneSlot is one published incumbent: the exact headline metrics of a
@@ -442,7 +410,8 @@ func (ip *incumbentPruner) dominates(beforeIdx uint64, powerLB, latencyLB float6
 }
 
 // prunedBy is Synthesize's canonical fold-time pruning decision for one
-// completed candidate: scanned against the kept points so far (in fold
+// completed candidate (out carries its design point and lower bounds):
+// scanned against the kept points so far (in fold
 // order, all from earlier candidates), the candidate is discarded when
 // a violation-free kept point strictly dominates either its
 // pre-evaluation lower bounds (pruneBound) or its exact post-route
@@ -456,10 +425,11 @@ func (ip *incumbentPruner) dominates(beforeIdx uint64, powerLB, latencyLB float6
 // (the worker's witness is either kept, or was itself discarded by a
 // kept point that strictly dominates it transitively), which is what
 // keeps Points identical across worker counts.
-func prunedBy(kept []DesignPoint, c candidate, dp *DesignPoint, linkExact bool) uint8 {
+func prunedBy(kept []DesignPoint, out *evalOutcome, linkExact bool) uint8 {
 	if len(kept) == 0 {
 		return pruneNone
 	}
+	dp := out.dp
 	b := dp.NoCPower
 	if !linkExact {
 		b.LinkDynW = 0 // bit-equal to the stage-2 power.NoCSansLinkWires sum
@@ -472,7 +442,7 @@ func prunedBy(kept []DesignPoint, c candidate, dp *DesignPoint, linkExact bool) 
 			continue
 		}
 		qp, ql := q.NoCPower.DynW(), q.MeanLatencyCycles
-		if qp < c.vec.powerLB && ql < c.vec.latLB {
+		if qp < out.powerLB && ql < out.latLB {
 			return pruneBound
 		}
 		if qp < p2 && ql < l2 {

@@ -33,31 +33,32 @@ func TestBoundsAdmissibility(t *testing.T) {
 		spec := specgen.Random(seed, specgen.Options{MaxCores: 18, MaxIslands: 4})
 		for _, sk := range []bool{false, true} {
 			opt := boundsOpt(sk)
-			env, parter, cands := newTestSweep(t, spec, lib, opt)
-			parter.bounds = newBoundsEnv(spec, lib, opt, env.freqs, env.islandCores)
+			env, cands := newTestSweep(t, spec, lib, opt)
 			bc := newBuildContext(env)
 			built := 0
 			for _, c := range cands {
-				parter.resolve(c.vec, &bc.part)
-				if c.vec.err != nil {
-					continue
+				parts := make([][]int, len(c.counts))
+				b, ok := env.table.lookup(c.counts, parts, &bc.part)
+				skip := b.pruned == pruneBound
+				if !ok && !skip {
+					continue // no k-way cut fits
 				}
-				dp, err := buildPoint(bc, c.vec.counts, c.vec.parts, c.mid)
+				dp, err := buildPoint(bc, c.counts, parts, c.mid)
 				if err != nil {
 					continue
 				}
 				built++
-				if c.vec.skip {
+				if skip {
 					t.Fatalf("seed %d sk=%v: vector %v proved infeasible but built a valid point",
-						seed, sk, c.vec.counts)
+						seed, sk, c.counts)
 				}
-				if p := dp.NoCPower.DynW(); c.vec.powerLB > p {
+				if p := dp.NoCPower.DynW(); b.powerLB > p {
 					t.Errorf("seed %d sk=%v %v mid=%d: powerLB %.9g > exact %.9g",
-						seed, sk, c.vec.counts, c.mid, c.vec.powerLB, p)
+						seed, sk, c.counts, c.mid, b.powerLB, p)
 				}
-				if l := dp.MeanLatencyCycles; c.vec.latLB > l {
+				if l := dp.MeanLatencyCycles; b.latLB > l {
 					t.Errorf("seed %d sk=%v %v mid=%d: latencyLB %.9g > exact %.9g",
-						seed, sk, c.vec.counts, c.mid, c.vec.latLB, l)
+						seed, sk, c.counts, c.mid, b.latLB, l)
 				}
 			}
 			if built == 0 {

@@ -6,6 +6,7 @@ import (
 	"os"
 	"reflect"
 	"sort"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -17,11 +18,11 @@ import (
 // oracleSweep enumerates the streaming sweep's space with plain nested
 // loops — island 0 slowest, mid fastest, an incrementing counter as the
 // index — and evaluates every candidate through fresh build contexts.
-// It shares no code with sweepSpace.decode or the collectors, so it is
+// It shares no code with the factorial decode or the collectors, so it is
 // an independent check of the enumeration geometry and the reductions.
 func oracleSweep(t *testing.T, spec *soc.Spec, lib *model.Library, opt Options, width int) (feasible []SweepPoint, evaluated uint64) {
 	t.Helper()
-	env, parter, _ := newTestSweep(t, spec, lib, opt)
+	env, _ := newTestSweep(t, spec, lib, opt)
 	freqs, maxSizes, err := IslandClocks(spec, lib)
 	_ = freqs
 	if err != nil {
@@ -66,7 +67,7 @@ func oracleSweep(t *testing.T, spec *soc.Spec, lib *model.Library, opt Options, 
 			for mid := 0; mid <= maxMid; mid++ {
 				ok := true
 				for i := 0; i < nIsl; i++ {
-					p, err := parter.caches[i].Partition(counts[i])
+					p, err := env.table.caches[i].Partition(counts[i])
 					if err != nil {
 						ok = false
 						break
@@ -314,7 +315,10 @@ func TestSweepSinglePointSpace(t *testing.T) {
 }
 
 // TestSweepCancellation stops a sweep mid-flight and checks it degrades
-// to an honestly-labeled partial result instead of failing.
+// to an honestly-labeled partial result instead of failing: a timed
+// cancel, a cancel after a fixed number of evaluations — whose result
+// must be exactly the evaluated prefix, the sweep a Limit = Explored run
+// would have produced — and a deadline already past.
 func TestSweepCancellation(t *testing.T) {
 	spec := specgen.Large(3, 40, 6)
 	lib := model.Default65nm()
@@ -327,11 +331,53 @@ func TestSweepCancellation(t *testing.T) {
 	if err != nil {
 		t.Fatalf("canceled sweep must return a partial result, got %v", err)
 	}
-	if res.Explored >= res.Size {
-		t.Skip("sweep finished before the cancel landed")
-	}
-	if !res.Partial || res.StopReason != StopCanceled {
+	if res.Explored < res.Size && (!res.Partial || res.StopReason != StopCanceled) {
 		t.Fatalf("partial metadata wrong: partial=%v reason=%q", res.Partial, res.StopReason)
+	}
+
+	// NoPrune: every candidate is evaluated, so the hook counts them all
+	// and the prefix comparison covers the whole sweep state.
+	sw := SweepOptions{WidthPerIsland: 2}
+	for _, workers := range []int{1, 4} {
+		opt := Options{Workers: workers, NoPrune: true}
+		ctx, cancel := context.WithCancel(context.Background())
+		var evals atomic.Int64
+		withEvalHook(t, func(counts []int, mid int) {
+			if evals.Add(1) == 24 {
+				cancel()
+			}
+		})
+		part, err := SynthesizeSweep(ctx, spec, lib, opt, sw)
+		cancel()
+		testHookEvalStart = nil
+		if err != nil {
+			t.Fatalf("workers=%d: canceled sweep errored: %v", workers, err)
+		}
+		if !part.Partial || part.StopReason != StopCanceled || part.Explored < 24 || part.Explored >= part.Size {
+			t.Fatalf("workers=%d: want a Partial/%s strict prefix of at least 24, got partial=%v reason=%q explored=%d of %d",
+				workers, StopCanceled, part.Partial, part.StopReason, part.Explored, part.Size)
+		}
+		if part.BestPowerPoint == nil {
+			t.Fatalf("workers=%d: nothing feasible in the evaluated prefix; the test space is degenerate", workers)
+		}
+		prefix := sweepOnce(t, spec, lib, opt, SweepOptions{WidthPerIsland: 2, Limit: part.Explored})
+		if !reflect.DeepEqual(part.BestPowerPoint, prefix.BestPowerPoint) ||
+			!reflect.DeepEqual(part.BestLatencyPoint, prefix.BestLatencyPoint) ||
+			!reflect.DeepEqual(part.Front, prefix.Front) {
+			t.Fatalf("workers=%d: canceled sweep is not its evaluated prefix of %d:\n argmins %+v %+v vs %+v %+v\n front %+v vs %+v",
+				workers, part.Explored, part.BestPowerPoint, part.BestLatencyPoint,
+				prefix.BestPowerPoint, prefix.BestLatencyPoint, part.Front, prefix.Front)
+		}
+	}
+
+	past, cancelPast := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
+	defer cancelPast()
+	res, err = SynthesizeSweep(past, spec, lib, Options{Workers: 4}, sw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Partial || res.StopReason != StopDeadline || res.Explored != 0 {
+		t.Fatalf("expired deadline: partial=%v reason=%q explored=%d", res.Partial, res.StopReason, res.Explored)
 	}
 }
 

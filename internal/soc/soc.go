@@ -12,6 +12,7 @@ package soc
 
 import (
 	"fmt"
+	"math"
 	"sort"
 )
 
@@ -134,7 +135,8 @@ type Spec struct {
 
 // Validate checks the internal consistency of the specification. It
 // verifies ID density, island assignment bounds, flow endpoints, and
-// strictly positive bandwidths.
+// physical sense: strictly positive finite bandwidths and island
+// voltages, finite latency constraints, and no NaN core parameter.
 func (s *Spec) Validate() error {
 	if len(s.Cores) == 0 {
 		return fmt.Errorf("spec %q: no cores", s.Name)
@@ -155,10 +157,23 @@ func (s *Spec) Validate() error {
 		if c.AreaMM2 < 0 || c.DynPowerW < 0 || c.LeakPowerW < 0 {
 			return fmt.Errorf("spec %q: core %q has negative physical parameter", s.Name, c.Name)
 		}
+		for _, p := range []struct {
+			field string
+			v     float64
+		}{{"AreaMM2", c.AreaMM2}, {"FreqHz", c.FreqHz}, {"DynPowerW", c.DynPowerW}, {"LeakPowerW", c.LeakPowerW}} {
+			if math.IsNaN(p.v) {
+				return fmt.Errorf("spec %q: core %q has NaN %s", s.Name, c.Name, p.field)
+			}
+		}
 	}
 	for i, isl := range s.Islands {
 		if isl.ID != IslandID(i) {
 			return fmt.Errorf("spec %q: island %d has ID %d (must be dense)", s.Name, i, isl.ID)
+		}
+		// A 0 V (or NaN, or infinite) supply is not a voltage island: the
+		// power model would price it as free or as NaN.
+		if !(isl.VoltageV > 0) || math.IsInf(isl.VoltageV, 1) {
+			return fmt.Errorf("spec %q: island %q has VoltageV %g, want a positive finite supply", s.Name, isl.Name, isl.VoltageV)
 		}
 	}
 	for i, id := range s.IslandOf {
@@ -177,8 +192,14 @@ func (s *Spec) Validate() error {
 		if f.BandwidthBps <= 0 {
 			return fmt.Errorf("spec %q: flow %d (%q->%q) has non-positive bandwidth", s.Name, i, s.Cores[f.Src].Name, s.Cores[f.Dst].Name)
 		}
+		if math.IsNaN(f.BandwidthBps) || math.IsInf(f.BandwidthBps, 0) {
+			return fmt.Errorf("spec %q: flow %d (%q->%q) has non-finite BandwidthBps %g", s.Name, i, s.Cores[f.Src].Name, s.Cores[f.Dst].Name, f.BandwidthBps)
+		}
 		if f.MaxLatencyCycles < 0 {
 			return fmt.Errorf("spec %q: flow %d has negative latency constraint", s.Name, i)
+		}
+		if math.IsNaN(f.MaxLatencyCycles) || math.IsInf(f.MaxLatencyCycles, 0) {
+			return fmt.Errorf("spec %q: flow %d has non-finite MaxLatencyCycles %g", s.Name, i, f.MaxLatencyCycles)
 		}
 		key := [2]CoreID{f.Src, f.Dst}
 		if seen[key] {

@@ -3,6 +3,7 @@ package specio
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"math"
 	"path/filepath"
 	"strings"
@@ -251,5 +252,64 @@ func TestReadTopologyErrors(t *testing.T) {
 	tampered := strings.Replace(good, `"switches": [`, `"switches": [99, `, 1)
 	if _, err := ReadTopology(strings.NewReader(tampered), spec, lib); err == nil {
 		t.Fatal("tampered route accepted")
+	}
+}
+
+// TestPhysicallyMeaninglessSpecsRejected: specs that parse but describe
+// nothing physical are rejected by soc.Spec.Validate with an error
+// naming the field, both when read from JSON and when handed to the
+// engine directly. JSON cannot carry NaN or infinities, so those cases
+// run through core.Synthesize only; a huge bandwidth in MB/s still
+// reaches +Inf through ReadSpec's unit conversion.
+func TestPhysicallyMeaninglessSpecsRejected(t *testing.T) {
+	const base = `{"name":"x","islands":[{"name":"i","voltage_v":%s},{"name":"j","voltage_v":1}],` +
+		`"cores":[{"name":"a","class":"cpu","island":"i","area_mm2":1},{"name":"b","class":"dsp","island":"j","area_mm2":1}],` +
+		`"flows":[{"src":"a","dst":"b","bandwidth_mbps":%s}]}`
+	nan, inf := math.NaN(), math.Inf(1)
+	cases := []struct {
+		name, field string
+		json        []string // voltage_v and bandwidth_mbps; nil when JSON cannot express the case
+		mutate      func(*soc.Spec)
+	}{
+		{"zero voltage", "VoltageV", []string{"0", "100"}, func(s *soc.Spec) { s.Islands[0].VoltageV = 0 }},
+		{"negative voltage", "VoltageV", []string{"-0.9", "100"}, func(s *soc.Spec) { s.Islands[0].VoltageV = -0.9 }},
+		{"NaN voltage", "VoltageV", nil, func(s *soc.Spec) { s.Islands[1].VoltageV = nan }},
+		{"infinite voltage", "VoltageV", nil, func(s *soc.Spec) { s.Islands[1].VoltageV = inf }},
+		{"overflowing bandwidth", "BandwidthBps", []string{"1", "1e305"}, func(s *soc.Spec) { s.Flows[0].BandwidthBps = inf }},
+		{"NaN bandwidth", "BandwidthBps", nil, func(s *soc.Spec) { s.Flows[0].BandwidthBps = nan }},
+		{"NaN latency", "MaxLatencyCycles", nil, func(s *soc.Spec) { s.Flows[0].MaxLatencyCycles = nan }},
+		{"infinite latency", "MaxLatencyCycles", nil, func(s *soc.Spec) { s.Flows[0].MaxLatencyCycles = inf }},
+		{"NaN area", "AreaMM2", nil, func(s *soc.Spec) { s.Cores[0].AreaMM2 = nan }},
+		{"NaN frequency", "FreqHz", nil, func(s *soc.Spec) { s.Cores[1].FreqHz = nan }},
+		{"NaN dynamic power", "DynPowerW", nil, func(s *soc.Spec) { s.Cores[0].DynPowerW = nan }},
+		{"NaN leakage", "LeakPowerW", nil, func(s *soc.Spec) { s.Cores[1].LeakPowerW = nan }},
+	}
+	lib := model.Default65nm()
+	valid := fmt.Sprintf(base, "1", "100")
+	read := func(body string) (*soc.Spec, error) { return ReadSpec(strings.NewReader(body)) }
+	spec, err := read(valid)
+	if err != nil {
+		t.Fatalf("base spec rejected: %v", err)
+	}
+	if _, err := core.Synthesize(spec, lib, core.Options{}); err != nil {
+		t.Fatalf("base spec does not synthesize: %v", err)
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			if tc.json != nil {
+				_, err := read(fmt.Sprintf(base, tc.json[0], tc.json[1]))
+				if err == nil || !strings.Contains(err.Error(), tc.field) {
+					t.Fatalf("ReadSpec: got %v, want an error naming %s", err, tc.field)
+				}
+			}
+			s, err := read(valid)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tc.mutate(s)
+			if _, err := core.Synthesize(s, lib, core.Options{}); err == nil || !strings.Contains(err.Error(), tc.field) {
+				t.Fatalf("core.Synthesize: got %v, want an error naming %s", err, tc.field)
+			}
+		})
 	}
 }
