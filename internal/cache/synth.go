@@ -184,11 +184,10 @@ func Synthesize(ctx context.Context, s *Store, spec *soc.Spec, lib *model.Librar
 }
 
 // SynthesizeSweep is core.SynthesizeSweep behind the cache, with the
-// same contract as Synthesize. Because the sweep resolves its whole
-// per-island partition table up front, a repeated sweep whose spec and
+// same contract as Synthesize. Every per-island partition the sweep
+// touches is probed on disk first, so a repeated sweep whose spec and
 // options are unchanged — but whose key differs (say a different
-// Limit) — still warm-starts every partition from disk and skips
-// partition resolution entirely.
+// Limit) — warm-starts its partitions instead of cutting them again.
 func SynthesizeSweep(ctx context.Context, s *Store, spec *soc.Spec, lib *model.Library, opt core.Options, sw core.SweepOptions) (*core.SweepResult, error) {
 	if s == nil {
 		return core.SynthesizeSweep(ctx, spec, lib, opt, sw)

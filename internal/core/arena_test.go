@@ -146,8 +146,7 @@ func TestArenaNoStateLeak(t *testing.T) {
 // unsynchronized moments — before, during and after the worker pool's
 // lifetime — and asserts that every goroutine the sweep spawned has
 // drained afterwards. Run under -race this also exercises the
-// cancellation paths of the chunk coordinator and the atomic claiming
-// loop.
+// cancellation paths of the ordered fold and the atomic claiming loop.
 func TestMidSweepCancellationDrainsWorkers(t *testing.T) {
 	spec, err := bench.Islanded("d26_media")
 	if err != nil {
@@ -162,8 +161,8 @@ func TestMidSweepCancellationDrainsWorkers(t *testing.T) {
 			_, err := SynthesizeContext(ctx, spec, lib, Options{
 				AllowIntermediate: true,
 				Workers:           8,
-				// A cap forces chunked dispatch, covering the
-				// cancellation checks between chunks too.
+				// A cap adds the fold's MaxDesignPoints stop to
+				// the ways the workers can be told to quit.
 				MaxDesignPoints: 20,
 			})
 			done <- err
