@@ -336,10 +336,12 @@ func TestSweepCancellation(t *testing.T) {
 	}
 
 	// NoPrune: every candidate is evaluated, so the hook counts them all
-	// and the prefix comparison covers the whole sweep state.
+	// and the prefix comparison covers the whole sweep state. The space
+	// (192 candidates) gives blocks of several indices at both worker
+	// counts, so a worker abandoning a claimed block would leave a hole.
 	sw := SweepOptions{WidthPerIsland: 2}
 	for _, workers := range []int{1, 4} {
-		opt := Options{Workers: workers, NoPrune: true}
+		opt := Options{Workers: workers, NoPrune: true, AllowIntermediate: true, MaxIntermediateSwitches: 2}
 		ctx, cancel := context.WithCancel(context.Background())
 		var evals atomic.Int64
 		withEvalHook(t, func(counts []int, mid int) {
