@@ -304,7 +304,14 @@ func compareRouting(t *testing.T, label string, spec *soc.Spec, lib *model.Libra
 	if err != nil {
 		t.Fatalf("%s: skeleton: %v", label, err)
 	}
+	compareRoutingOn(t, label, optTop, refTop, opt)
+}
 
+// compareRoutingOn routes two identical unrouted topologies, one with
+// the optimized router and one with the reference, and demands exact
+// equality of the outcome.
+func compareRoutingOn(t *testing.T, label string, optTop, refTop *topology.Topology, opt route.Options) {
+	t.Helper()
 	optErr := route.New(optTop, opt).RouteAll()
 	refErr := newRefRouter(refTop, opt).routeAll()
 
@@ -366,7 +373,10 @@ func compareRouting(t *testing.T, label string, spec *soc.Spec, lib *model.Libra
 
 // TestRoutingEquivalenceSuite covers every bundled benchmark across
 // skeleton shapes (tight and relaxed switch counts, with and without
-// intermediate switches) and router options.
+// intermediate switches) and router options: load balancing,
+// non-default wire length and latency weight, a switch-size override,
+// islands at different supplies, and NoNewLinks re-routing over an
+// already routed topology with and without a failed link.
 func TestRoutingEquivalenceSuite(t *testing.T) {
 	lib := model.Default65nm()
 	for _, name := range bench.Names() {
@@ -381,7 +391,99 @@ func TestRoutingEquivalenceSuite(t *testing.T) {
 			}
 		}
 		compareRouting(t, name+"/balance", spec, lib, 1, 2, route.Options{BalanceLoad: true})
+		compareRouting(t, name+"/weights", spec, lib, 1, 2, weightedOptions)
+		compareRouting(t, name+"/maxsize", spec, lib, 1, 2, route.Options{MaxSwitchSize: maxSizeOverride(t, spec, lib)})
+		compareRouting(t, name+"/voltages", mixedVoltages(spec), lib, 1, 2, route.Options{})
+		compareRouting(t, name+"/voltages/weights", mixedVoltages(spec), lib, 1, 1, weightedOptions)
+		for _, drop := range []int{-1, 0, 7} {
+			compareReroute(t, fmt.Sprintf("%s/reroute/drop=%d", name, drop), spec, lib, 1, 2, drop)
+		}
 	}
+}
+
+// weightedOptions moves both cost knobs off their defaults: a longer
+// wire estimate scales every link energy and leakage term, and a
+// heavier latency weight shifts the power/latency balance.
+var weightedOptions = route.Options{EstLinkLengthMM: 3.5, LatencyWeightW: 4e-3}
+
+// maxSizeOverride returns a per-island switch-size bound (intermediate
+// island included) tighter than the one the router derives from the
+// island clocks, varied across islands so the bound differs per
+// endpoint of a candidate edge.
+func maxSizeOverride(t *testing.T, spec *soc.Spec, lib *model.Library) []int {
+	t.Helper()
+	top, err := skeleton.Build(spec, lib, 1, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sz := make([]int, top.NumIslands())
+	for i := range sz {
+		sz[i] = min(lib.MaxSwitchSize(top.IslandFreqHz[i]), 8+i%3)
+	}
+	return sz
+}
+
+// mixedVoltages returns a copy of spec whose islands run at different
+// supplies, so the max(Vu, Vv) link and FIFO terms and the per-switch
+// leakage vary with the island pair of a candidate edge.
+func mixedVoltages(spec *soc.Spec) *soc.Spec {
+	out := spec.Clone()
+	volts := []float64{0.8, 1.1, 0.9, 1.2, 1.0}
+	for i := range out.Islands {
+		out.Islands[i].VoltageV = volts[i%len(volts)]
+	}
+	return out
+}
+
+// compareReroute exercises the fault-recovery path: a skeleton is
+// routed by the reference router (load-balanced, so parallel links
+// exist to detour over), rebuilt twice with the same island
+// settings, switches, attachments and links — minus the link at index
+// drop, when drop >= 0 — and no routes, and the copies are re-routed
+// under NoNewLinks by the optimized and the reference router.
+func compareReroute(t *testing.T, label string, spec *soc.Spec, lib *model.Library, extra, mid, drop int) {
+	t.Helper()
+	orig, err := skeleton.Build(spec, lib, extra, mid)
+	if err != nil {
+		t.Fatalf("%s: skeleton: %v", label, err)
+	}
+	if err := newRefRouter(orig, route.Options{BalanceLoad: true}).routeAll(); err != nil {
+		return // nothing routed, nothing to re-route
+	}
+	opt := route.Options{NoNewLinks: true}
+	compareRoutingOn(t, label, rebuildLinks(t, orig, drop), rebuildLinks(t, orig, drop), opt)
+}
+
+// rebuildLinks copies orig's island settings, switches, core
+// attachments and links (except the one at index drop), with no
+// traffic and no routes.
+func rebuildLinks(t *testing.T, orig *topology.Topology, drop int) *topology.Topology {
+	t.Helper()
+	top := topology.New(orig.Spec, orig.Lib)
+	for i := range orig.Spec.Islands {
+		top.SetIslandFreq(soc.IslandID(i), orig.IslandFreqHz[i])
+		top.SetIslandVoltage(soc.IslandID(i), orig.IslandVoltage[i])
+	}
+	if orig.NoCIsland != soc.NoIsland {
+		top.AddNoCIsland(orig.IslandFreqHz[orig.NoCIsland], orig.IslandVoltage[orig.NoCIsland])
+	}
+	for _, s := range orig.Switches {
+		top.AddSwitch(s.Island, s.Indirect)
+	}
+	for c, sw := range orig.SwitchOf {
+		if err := top.AttachCore(soc.CoreID(c), sw); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i, l := range orig.Links {
+		if i == drop {
+			continue
+		}
+		if _, err := top.AddLink(l.From, l.To); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return top
 }
 
 // TestRoutingEquivalenceRandom fans the comparison over randomly
@@ -399,5 +501,15 @@ func TestRoutingEquivalenceRandom(t *testing.T) {
 		mid := int(seed % 3) // 0, 1, 2 intermediate switches
 		label := fmt.Sprintf("seed=%d/cores=%d/mid=%d", seed, len(spec.Cores), mid)
 		compareRouting(t, label, spec, lib, int(seed%2), mid, route.Options{})
+		switch seed % 4 {
+		case 0:
+			compareRouting(t, label+"/weights", spec, lib, 1, mid, weightedOptions)
+		case 1:
+			compareRouting(t, label+"/maxsize", spec, lib, 1, mid, route.Options{MaxSwitchSize: maxSizeOverride(t, spec, lib)})
+		case 2:
+			compareReroute(t, label+"/reroute", spec, lib, 1, mid, int(seed%5)-1)
+		case 3:
+			compareRouting(t, label+"/voltages", mixedVoltages(spec), lib, 1, mid, weightedOptions)
+		}
 	}
 }
