@@ -110,13 +110,20 @@ type Topology struct {
 	// SwitchOf maps each core to the switch hosting its NI.
 	SwitchOf []SwitchID
 
-	// linkIdx is the O(1) directed link lookup (from, to) -> LinkID, and
-	// inLinks/outLinks the per-switch incident link counts, both kept in
-	// sync by AddSwitch/AddLink. They turn FindLink and SwitchPorts —
-	// the router's per-edge-relaxation queries — from O(links) scans
-	// into constant-time lookups. reindex rebuilds them for topologies
-	// whose exported slices were populated by other means.
-	linkIdx  map[linkKey]LinkID
+	// linkIdx is the dense directed link index: linkIdx[from*idxN+to]
+	// holds the LinkID of from->to, or -1 when there is none. It is laid
+	// out for idxN switches at the first link added after the switch set
+	// changed — links are only opened once every switch exists — so a
+	// switch added since the last layout has no links and lies outside
+	// the table. nIndexed counts the links the table covers. inLinks and
+	// outLinks are the per-switch incident link counts. AddSwitch/AddLink
+	// keep all of them in sync, turning FindLink and SwitchPorts — the
+	// router's per-edge-relaxation queries — into array reads; reindex
+	// rebuilds them for topologies whose exported slices were populated
+	// by other means.
+	linkIdx  []int32
+	idxN     int
+	nIndexed int
 	inLinks  []int
 	outLinks []int
 
@@ -138,27 +145,79 @@ type Topology struct {
 	bakFree     [][]Path
 }
 
-// linkKey identifies a directed link by its endpoints.
-type linkKey struct{ from, to SwitchID }
-
 // reindex (re)builds the link index and port counters from the exported
-// Switches/Links slices. Mutators keep the index incremental; this lazy
-// path only triggers for zero-value or externally assembled topologies.
+// Switches/Links slices, laying the table out for the current switch
+// set. Mutators keep the index incremental; this path triggers when a
+// link is added after the switch set grew, and for zero-value or
+// externally assembled topologies.
 func (t *Topology) reindex() {
-	t.linkIdx = make(map[linkKey]LinkID, len(t.Links))
-	t.inLinks = make([]int, len(t.Switches))
-	t.outLinks = make([]int, len(t.Switches))
+	n := len(t.Switches)
+	if cap(t.linkIdx) < n*n {
+		t.linkIdx = make([]int32, n*n)
+	}
+	t.linkIdx = t.linkIdx[:n*n]
+	for i := range t.linkIdx {
+		t.linkIdx[i] = -1
+	}
+	t.idxN = n
+	t.inLinks = resetCounts(t.inLinks, n)
+	t.outLinks = resetCounts(t.outLinks, n)
 	for _, l := range t.Links {
-		t.linkIdx[linkKey{l.From, l.To}] = l.ID
+		t.linkIdx[int(l.From)*n+int(l.To)] = int32(l.ID)
 		t.outLinks[l.From]++
 		t.inLinks[l.To]++
 	}
+	t.nIndexed = len(t.Links)
+}
+
+// resetCounts returns c resized to n zeroed entries, reusing its
+// storage when it is large enough.
+func resetCounts(c []int, n int) []int {
+	if cap(c) < n {
+		return make([]int, n)
+	}
+	c = c[:n]
+	clear(c)
+	return c
 }
 
 // indexStale reports whether the incremental index no longer covers the
 // exported slices.
 func (t *Topology) indexStale() bool {
-	return t.linkIdx == nil || len(t.linkIdx) != len(t.Links) || len(t.inLinks) != len(t.Switches)
+	return t.nIndexed != len(t.Links) || len(t.inLinks) != len(t.Switches)
+}
+
+// lookup reads the index for from->to; the index must not be stale.
+func (t *Topology) lookup(from, to SwitchID) (LinkID, bool) {
+	return LinkIndex{ids: t.linkIdx, n: t.idxN}.Find(from, to)
+}
+
+// LinkIndex is a read-only view of a topology's dense link index for
+// loops that look up many links between two mutations, such as one
+// shortest-path search of the router. It shares the topology's storage
+// and is valid until the next AddSwitch, AddLink, EnsureLink or Reset.
+type LinkIndex struct {
+	ids []int32
+	n   int
+}
+
+// LinkIndex returns the view of the current link index, rebuilding it
+// first when the exported slices were changed behind its back.
+func (t *Topology) LinkIndex() LinkIndex {
+	if t.indexStale() {
+		t.reindex()
+	}
+	return LinkIndex{ids: t.linkIdx, n: t.idxN}
+}
+
+// Find returns the directed link from->to when it exists. Switches added
+// since the index was last laid out have no links yet.
+func (x LinkIndex) Find(from, to SwitchID) (LinkID, bool) {
+	if uint(from) >= uint(x.n) || uint(to) >= uint(x.n) {
+		return -1, false
+	}
+	id := x.ids[int(from)*x.n+int(to)]
+	return LinkID(id), id >= 0
 }
 
 // New creates an empty topology over the given spec and library, with
@@ -179,14 +238,13 @@ func New(spec *soc.Spec, lib *model.Library) *Topology {
 	for i, isl := range spec.Islands {
 		t.IslandVoltage[i] = isl.VoltageV
 	}
-	t.linkIdx = make(map[linkKey]LinkID)
 	return t
 }
 
 // Reset returns t to the state New(t.Spec, t.Lib) would produce while
 // retaining the backing storage of the previous build: the switch, link
 // and route slices keep their capacity, the link index keeps its
-// buckets, and the per-switch core lists are recycled through an
+// table, and the per-switch core lists are recycled through an
 // internal free list. The synthesis sweep resets one topology per
 // worker across candidates instead of allocating a fresh one each time.
 //
@@ -232,7 +290,8 @@ func (t *Topology) Reset() {
 	for i := range t.SwitchOf {
 		t.SwitchOf[i] = -1
 	}
-	clear(t.linkIdx)
+	t.linkIdx = t.linkIdx[:0]
+	t.idxN, t.nIndexed = 0, 0
 	t.inLinks = t.inLinks[:0]
 	t.outLinks = t.outLinks[:0]
 }
@@ -348,17 +407,13 @@ func (t *Topology) TakeRouteLinks(n int) []LinkID {
 	return make([]LinkID, n)
 }
 
-// FindLink returns the directed link from->to when it exists. It is an
-// O(1) index lookup.
+// FindLink returns the directed link from->to when it exists. It is a
+// single read of the dense link index.
 func (t *Topology) FindLink(from, to SwitchID) (LinkID, bool) {
 	if t.indexStale() {
 		t.reindex()
 	}
-	id, ok := t.linkIdx[linkKey{from, to}]
-	if !ok {
-		return -1, false
-	}
-	return id, true
+	return t.lookup(from, to)
 }
 
 // AddLink opens a new directed link between two switches, computing its
@@ -368,20 +423,20 @@ func (t *Topology) AddLink(from, to SwitchID) (LinkID, error) {
 	if t.indexStale() {
 		t.reindex()
 	}
-	if _, ok := t.linkIdx[linkKey{from, to}]; ok {
+	if _, ok := t.lookup(from, to); ok {
 		return -1, fmt.Errorf("topology: duplicate link %d->%d", from, to)
 	}
 	return t.addLink(from, to)
 }
 
 // EnsureLink returns the directed link from->to, opening it when absent
-// — one index lookup instead of the FindLink+AddLink double probe on
-// the routing commit path.
+// — one index read instead of the FindLink+AddLink double probe on the
+// routing commit path.
 func (t *Topology) EnsureLink(from, to SwitchID) (LinkID, error) {
 	if t.indexStale() {
 		t.reindex()
 	}
-	if id, ok := t.linkIdx[linkKey{from, to}]; ok {
+	if id, ok := t.lookup(from, to); ok {
 		return id, nil
 	}
 	return t.addLink(from, to)
@@ -391,6 +446,9 @@ func (t *Topology) EnsureLink(from, to SwitchID) (LinkID, error) {
 func (t *Topology) addLink(from, to SwitchID) (LinkID, error) {
 	if from == to {
 		return -1, fmt.Errorf("topology: self link on switch %d", from)
+	}
+	if t.idxN != len(t.Switches) {
+		t.reindex() // first link since the switch set changed
 	}
 	fs, ts := t.Switches[from], t.Switches[to]
 	minF := math.Min(fs.FreqHz, ts.FreqHz)
@@ -402,7 +460,8 @@ func (t *Topology) addLink(from, to SwitchID) (LinkID, error) {
 		CrossesIslands: fs.Island != ts.Island,
 		CapacityBps:    t.Lib.LinkCapacityBps(minF),
 	})
-	t.linkIdx[linkKey{from, to}] = id
+	t.linkIdx[int(from)*t.idxN+int(to)] = int32(id)
+	t.nIndexed++
 	t.outLinks[from]++
 	t.inLinks[to]++
 	return id, nil
@@ -560,11 +619,15 @@ func (t *Topology) checkPath(f soc.Flow, switches []SwitchID, links []LinkID) er
 	return nil
 }
 
-// Validate performs full structural validation: every core attached in
-// its own island, all routes well-formed, link capacities respected,
-// switch sizes feasible at their island clock, latency constraints met,
-// and shutdown safety. It returns the first violation found.
+// Validate performs full structural validation: every switch at its
+// island's clock and supply, every core attached in its own island, all
+// routes well-formed, link capacities respected, switch sizes feasible
+// at their island clock, latency constraints met, and shutdown safety.
+// It returns the first violation found.
 func (t *Topology) Validate() error {
+	if err := t.ValidateSwitchDomains(); err != nil {
+		return err
+	}
 	for c := range t.Spec.Cores {
 		sw := t.SwitchOf[c]
 		if sw == -1 {
@@ -581,6 +644,25 @@ func (t *Topology) Validate() error {
 		return err
 	}
 	return t.ValidateShutdownSafe()
+}
+
+// ValidateSwitchDomains checks that every switch runs at exactly its
+// island's entry in IslandFreqHz and IslandVoltage. AddSwitch copies
+// both from the island, and the router prices candidate edges from
+// per-island-pair tables that rely on the copies staying equal, so a
+// switch whose clock or supply drifted from its island is rejected.
+func (t *Topology) ValidateSwitchDomains() error {
+	for _, s := range t.Switches {
+		if s.Island < 0 || int(s.Island) >= len(t.IslandFreqHz) || int(s.Island) >= len(t.IslandVoltage) {
+			return fmt.Errorf("topology: switch %d in unknown island %d", s.ID, s.Island)
+		}
+		//noclint:ignore floateq the copies must be bit-identical, not merely close: the router's island tables read the island entries
+		if f, v := t.IslandFreqHz[s.Island], t.IslandVoltage[s.Island]; s.FreqHz != f || s.VoltageV != v {
+			return fmt.Errorf("topology: switch %d runs at %g Hz, %g V; its island %d at %g Hz, %g V",
+				s.ID, s.FreqHz, s.VoltageV, s.Island, f, v)
+		}
+	}
+	return nil
 }
 
 // ValidateRouted checks the routes the topology actually holds — route

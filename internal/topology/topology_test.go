@@ -210,8 +210,10 @@ func TestValidateCatchesUnattachedCore(t *testing.T) {
 
 func TestValidateCatchesOversizedSwitch(t *testing.T) {
 	top := buildValid(t)
-	// Force island 0's clock beyond what a 3-port switch can meet.
+	// Force island 0's clock beyond what a 3-port switch can meet (on the
+	// island and its one switch alike, which Validate demands agree).
 	f := top.Lib.SwitchMaxFreqHz(3) + 200e6
+	top.SetIslandFreq(0, f)
 	top.Switches[0].FreqHz = f
 	if err := top.Validate(); err == nil || !strings.Contains(err.Error(), "cannot run") {
 		t.Fatalf("oversized switch not caught: %v", err)
@@ -374,9 +376,44 @@ func TestEnsureLink(t *testing.T) {
 	}
 }
 
-// TestLinkIndexMatchesScan cross-checks the O(1) index and incremental
+// assertIndexMatchesScan cross-checks FindLink and SwitchPorts for
+// every switch pair against brute-force scans over the exported slices.
+func assertIndexMatchesScan(t *testing.T, top *Topology) {
+	t.Helper()
+	for u := range top.Switches {
+		for v := range top.Switches {
+			want, found := LinkID(-1), false
+			for _, l := range top.Links {
+				if l.From == SwitchID(u) && l.To == SwitchID(v) {
+					want, found = l.ID, true
+				}
+			}
+			got, ok := top.FindLink(SwitchID(u), SwitchID(v))
+			if ok != found || (ok && got != want) {
+				t.Fatalf("FindLink(%d,%d) = %d,%v; scan says %d,%v", u, v, got, ok, want, found)
+			}
+		}
+		in, out := len(top.Switches[u].Cores), len(top.Switches[u].Cores)
+		for _, l := range top.Links {
+			if l.To == SwitchID(u) {
+				in++
+			}
+			if l.From == SwitchID(u) {
+				out++
+			}
+		}
+		gi, go_ := top.SwitchPorts(SwitchID(u))
+		if gi != in || go_ != out {
+			t.Fatalf("SwitchPorts(%d) = %d,%d; scan says %d,%d", u, gi, go_, in, out)
+		}
+	}
+}
+
+// TestLinkIndexMatchesScan cross-checks the dense index and incremental
 // port counts against brute-force scans over the exported slices, on a
-// topology grown switch-by-switch and link-by-link.
+// topology grown switch-by-switch and link-by-link — including switches
+// added after links exist, which lie outside the table until the next
+// link lays it out again for the larger switch set.
 func TestLinkIndexMatchesScan(t *testing.T) {
 	spec := fixtureSpec()
 	top := New(spec, model.Default65nm())
@@ -387,46 +424,91 @@ func TestLinkIndexMatchesScan(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		sws = append(sws, top.AddSwitch(soc.IslandID(i), false))
 	}
-	check := func() {
-		t.Helper()
-		for _, u := range sws {
-			for _, v := range sws {
-				want, found := LinkID(-1), false
-				for _, l := range top.Links {
-					if l.From == u && l.To == v {
-						want, found = l.ID, true
-					}
-				}
-				got, ok := top.FindLink(u, v)
-				if ok != found || (ok && got != want) {
-					t.Fatalf("FindLink(%d,%d) = %d,%v; scan says %d,%v", u, v, got, ok, want, found)
-				}
-			}
-			in, out := len(top.Switches[u].Cores), len(top.Switches[u].Cores)
-			for _, l := range top.Links {
-				if l.To == u {
-					in++
-				}
-				if l.From == u {
-					out++
-				}
-			}
-			gi, go_ := top.SwitchPorts(u)
-			if gi != in || go_ != out {
-				t.Fatalf("SwitchPorts(%d) = %d,%d; scan says %d,%d", u, gi, go_, in, out)
-			}
+	assertIndexMatchesScan(t, top)
+	top.AddLink(sws[0], sws[1])
+	assertIndexMatchesScan(t, top)
+	top.EnsureLink(sws[1], sws[2])
+	assertIndexMatchesScan(t, top)
+	top.AttachCore(0, sws[0])
+	assertIndexMatchesScan(t, top)
+	sws = append(sws, top.AddSwitch(0, false)) // grow after links exist
+	// The new switch lies outside the table laid out for three switches:
+	// lookups touching it must miss, and the old links must still hit.
+	for _, u := range sws {
+		if id, ok := top.FindLink(u, sws[3]); ok {
+			t.Fatalf("FindLink(%d,%d) = %d on a switch with no links", u, sws[3], id)
+		}
+		if id, ok := top.FindLink(sws[3], u); ok {
+			t.Fatalf("FindLink(%d,%d) = %d on a switch with no links", sws[3], u, id)
 		}
 	}
-	check()
-	top.AddLink(sws[0], sws[1])
-	check()
-	top.EnsureLink(sws[1], sws[2])
-	check()
-	top.AttachCore(0, sws[0])
-	check()
-	sws = append(sws, top.AddSwitch(0, false)) // grow after links exist
-	top.AddLink(sws[3], sws[0])
-	check()
+	assertIndexMatchesScan(t, top)
+	top.AddLink(sws[3], sws[0]) // lays the table out again for four switches
+	assertIndexMatchesScan(t, top)
+	sws = append(sws, top.AddSwitch(2, false), top.AddSwitch(1, false))
+	top.EnsureLink(sws[2], sws[5])
+	top.EnsureLink(sws[5], sws[4])
+	assertIndexMatchesScan(t, top)
+	if _, err := top.AddLink(sws[0], sws[1]); err == nil {
+		t.Fatal("duplicate link accepted after the table was laid out again")
+	}
+}
+
+// TestLinkIndexAcrossResetABA rebuilds one topology with three, five and
+// again three switches through Reset: the recycled table is laid out
+// for each switch count in turn, and no link of an earlier build may
+// leak into a later one.
+func TestLinkIndexAcrossResetABA(t *testing.T) {
+	spec := fixtureSpec()
+	top := New(spec, model.Default65nm())
+	build := func(perIsland int, links [][2]SwitchID) {
+		t.Helper()
+		top.Reset()
+		for i := range spec.Islands {
+			top.SetIslandFreq(soc.IslandID(i), 200e6)
+		}
+		for i := range spec.Islands {
+			for p := 0; p < perIsland; p++ {
+				top.AddSwitch(soc.IslandID(i), false)
+			}
+		}
+		assertIndexMatchesScan(t, top)
+		for _, l := range links {
+			if _, err := top.AddLink(l[0], l[1]); err != nil {
+				t.Fatal(err)
+			}
+			assertIndexMatchesScan(t, top)
+		}
+	}
+	build(1, [][2]SwitchID{{0, 1}, {1, 2}, {2, 0}})
+	build(2, [][2]SwitchID{{5, 4}, {0, 5}, {3, 1}, {1, 0}})
+	build(1, [][2]SwitchID{{1, 0}, {2, 1}})
+	if _, ok := top.FindLink(0, 1); ok {
+		t.Fatal("link 0->1 of the first build survived two Resets")
+	}
+}
+
+// TestValidateRejectsSwitchOffItsIsland pins the invariant the router's
+// per-island-pair cost tables rely on: a switch whose clock or supply
+// disagrees with its island's entry is a validation error.
+func TestValidateRejectsSwitchOffItsIsland(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		drift func(s *Switch)
+	}{
+		{"voltage", func(s *Switch) { s.VoltageV -= 0.1 }},
+		{"frequency", func(s *Switch) { s.FreqHz += 1e6 }},
+	} {
+		top := buildValid(t)
+		if err := top.Validate(); err != nil {
+			t.Fatalf("%s: fixture invalid: %v", tc.name, err)
+		}
+		tc.drift(&top.Switches[1])
+		err := top.Validate()
+		if err == nil || !strings.Contains(err.Error(), "switch 1 runs at") {
+			t.Fatalf("%s: switch off its island not caught: %v", tc.name, err)
+		}
+	}
 }
 
 // TestReindexExternallyAssembled covers the lazy rebuild: a topology
