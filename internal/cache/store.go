@@ -54,7 +54,14 @@ import (
 // first-touch per-(island, k) partition table, one driver). The golden
 // result digests prove every result unchanged; the bump re-records the
 // engine surface, whose functions moved.
-const EngineVersion = 4
+//
+// v5: the cheap routing inner loop (a dense link index in the topology,
+// per-flow and per-island-pair edge-cost terms, a per-query vertex
+// snapshot, settled vertices skipped by Dijkstra) and fewer
+// per-candidate allocations in the deadlock check and the power model.
+// The golden result digests and the frozen-router equivalence tests
+// prove every result unchanged; the bump re-records the engine surface.
+const EngineVersion = 5
 
 // Entry classes: the subdirectory an artifact kind lives under. Keys
 // are only unique within a class.

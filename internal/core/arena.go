@@ -11,8 +11,9 @@ import (
 )
 
 // sweepEnv is the context shared by every worker of one sweep: the
-// spec, the library, the step-1/2 outcomes, the intermediate-switch
-// range, the partition table and the pre-sorted flow list, all built by
+// spec, the library, the step-1/2 outcomes, the island supplies, the
+// intermediate-switch range, the routers' island-pair cost table, the
+// partition table and the pre-sorted flow list, all built by
 // newSweepEnv. Workers write through it in exactly two places: the
 // partition table's first-touch entries (each behind its own once
 // latch) and the incumbent pruner's atomic slots.
@@ -25,6 +26,9 @@ type sweepEnv struct {
 	minSwitches []int
 	midFreq     float64
 	maxMid      int
+	volts       []float64          // NoC supply per spec island
+	midV        float64            // NoC supply of the intermediate island
+	costs       *route.IslandCosts // every candidate's island-pair cost terms, shared read-only
 	islandCores [][]soc.CoreID
 	flows       []soc.Flow // decreasing-bandwidth order, shared read-only
 	table       *partTable
@@ -98,6 +102,7 @@ func (bc *buildContext) takeRouter(top *topology.Topology) *route.Router {
 	if bc.router == nil {
 		bc.router = route.New(top, bc.env.opt.Router)
 		bc.router.SetScratch(&bc.scratch)
+		bc.router.SetIslandCosts(bc.env.costs)
 	} else {
 		bc.router.Reset(top)
 	}

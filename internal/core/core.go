@@ -551,14 +551,12 @@ func IslandClocks(spec *soc.Spec, lib *model.Library) (freqs []float64, maxSizes
 // failure they stay pooled for the next candidate.
 func buildPoint(bc *buildContext, counts []int, parts [][]int, mid int) (*DesignPoint, error) {
 	env := bc.env
-	lib, opt := env.lib, env.opt
+	opt := env.opt
 
 	top := bc.takeTop()
 	for j, f := range env.freqs {
 		top.SetIslandFreq(soc.IslandID(j), f)
-		if opt.AutoVoltage {
-			top.SetIslandVoltage(soc.IslandID(j), lib.VoltageForFreq(f))
-		}
+		top.SetIslandVoltage(soc.IslandID(j), env.volts[j])
 	}
 	// Direct switches per island, one per partition. AddSwitch assigns
 	// IDs sequentially, so island j's switches occupy the half-open ID
@@ -579,11 +577,7 @@ func buildPoint(bc *buildContext, counts []int, parts [][]int, mid int) (*Design
 		base += k
 	}
 	if mid > 0 {
-		midV := opt.midVoltage()
-		if opt.AutoVoltage {
-			midV = lib.VoltageForFreq(env.midFreq)
-		}
-		ni := top.AddNoCIsland(env.midFreq, midV)
+		ni := top.AddNoCIsland(env.midFreq, env.midV)
 		for p := 0; p < mid; p++ {
 			top.AddSwitch(ni, true)
 		}

@@ -12,6 +12,7 @@ import (
 
 	"nocvi/internal/model"
 	"nocvi/internal/partition"
+	"nocvi/internal/route"
 	"nocvi/internal/soc"
 	"nocvi/internal/vcg"
 )
@@ -75,6 +76,26 @@ func newSweepEnv(spec *soc.Spec, lib *model.Library, opt Options) (*sweepEnv, er
 			env.maxMid = maxCores
 		}
 	}
+	// The NoC supplies every candidate's islands run at: the spec's, or
+	// under AutoVoltage the lowest that meets each island's clock.
+	env.volts = make([]float64, nIsl, nIsl+1)
+	for j, isl := range spec.Islands {
+		env.volts[j] = isl.VoltageV
+		if opt.AutoVoltage {
+			env.volts[j] = lib.VoltageForFreq(freqs[j])
+		}
+	}
+	env.midV = opt.midVoltage()
+	if opt.AutoVoltage {
+		env.midV = lib.VoltageForFreq(env.midFreq)
+	}
+	islFreqs := freqs
+	if env.maxMid > 0 {
+		islFreqs = append(freqs[:nIsl:nIsl], env.midFreq)
+		env.volts = append(env.volts, env.midV)
+	}
+	env.costs = route.NewIslandCosts(lib, islFreqs, env.volts, opt.Router)
+	env.volts = env.volts[:nIsl]
 	vcgs, err := vcg.BuildAll(spec, opt.alpha())
 	if err != nil {
 		return nil, err

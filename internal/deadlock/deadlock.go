@@ -53,21 +53,15 @@ func (r *Report) String() string {
 func Analyze(top *topology.Topology) *Report {
 	n := len(top.Links)
 	cdg := graph.NewDirected(n)
-	deps := 0
-	seen := make(map[[2]topology.LinkID]bool)
 	for ri := range top.Routes {
 		r := &top.Routes[ri]
 		for i := 1; i < len(r.Links); i++ {
-			key := [2]topology.LinkID{r.Links[i-1], r.Links[i]}
-			if seen[key] {
-				continue
-			}
-			seen[key] = true
-			cdg.AddEdge(int(key[0]), int(key[1]), 1)
-			deps++
+			// AddEdge merges a repeated dependency into the existing edge,
+			// so the CDG holds each distinct one once, in first-use order.
+			cdg.AddEdge(int(r.Links[i-1]), int(r.Links[i]), 1)
 		}
 	}
-	rep := &Report{Channels: n, Dependencies: deps}
+	rep := &Report{Channels: n, Dependencies: cdg.M()}
 	if has, cyc := cdg.HasCycle(); has {
 		rep.Cycle = make([]topology.LinkID, len(cyc))
 		for i, v := range cyc {

@@ -388,6 +388,7 @@ type Scratch struct {
 	dist []float64
 	pred []int
 	gen  []uint32
+	done []uint32 // settled stamps (ShortestPathDense), same generations as gen
 	cur  uint32
 	h    []pqItem
 	path []int
@@ -400,14 +401,17 @@ func (s *Scratch) begin(n int) {
 		s.dist = make([]float64, n)
 		s.pred = make([]int, n)
 		s.gen = make([]uint32, n)
+		s.done = make([]uint32, n)
 	} else {
 		s.dist = s.dist[:n]
 		s.pred = s.pred[:n]
 		s.gen = s.gen[:n]
+		s.done = s.done[:n]
 	}
 	s.cur++
 	if s.cur == 0 { // generation counter wrapped: hard-clear the stamps
 		clear(s.gen[:cap(s.gen)])
+		clear(s.done[:cap(s.done)])
 		s.cur = 1
 	}
 	s.h = s.h[:0]
@@ -515,6 +519,8 @@ func (g *Directed) ShortestPathScratch(sc *Scratch, src, dst int, cost CostFunc)
 // an *implicit* dense graph on n vertices: an arc u->v exists for every
 // u != v with rank[u] <= rank[v] (nil rank means the complete graph),
 // and cost prices each arc (its static-weight argument is always 1).
+// Arcs into already settled vertices are not priced: cost must be
+// non-negative, so they could never relax.
 // Nothing is materialized, so callers with near-complete candidate
 // graphs skip building adjacency lists entirely. Neighbors are visited
 // in ascending vertex order — the order AddArc-built adjacency has when
@@ -537,12 +543,16 @@ func (sc *Scratch) ShortestPathDense(n int, rank []int8, src, dst int, cost Cost
 		if it.v == dst {
 			break // settled: dist and the pred chain are final
 		}
+		sc.done[it.v] = sc.cur
 		var ru int8
 		if rank != nil {
 			ru = rank[it.v]
 		}
 		for v := 0; v < n; v++ {
-			if v == it.v || (rank != nil && rank[v] < ru) {
+			// A settled vertex (it.v included) is never relaxed: with
+			// non-negative costs its label cannot improve, so skipping the
+			// cost evaluation leaves every label and tie-break unchanged.
+			if sc.done[v] == sc.cur || (rank != nil && rank[v] < ru) {
 				continue
 			}
 			c := cost(it.v, v, 1)
@@ -636,11 +646,12 @@ func (g *Directed) HasCycle() (bool, []int) {
 		v   int
 		idx int
 	}
+	var stack []frame // one DFS stack, reused from every root
 	for s := 0; s < g.n; s++ {
 		if color[s] != white {
 			continue
 		}
-		stack := []frame{{v: s}}
+		stack = append(stack[:0], frame{v: s})
 		color[s] = gray
 		for len(stack) > 0 {
 			f := &stack[len(stack)-1]

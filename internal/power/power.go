@@ -131,10 +131,18 @@ func nocPowerWires(top *topology.Topology, off []bool, modeBW map[[2]soc.CoreID]
 	lib := top.Lib
 	spec := top.Spec
 
-	// Active traffic per switch, link and core NI under the mask.
-	swTraffic := make([]float64, len(top.Switches))
-	linkTraffic := make([]float64, len(top.Links))
-	niTraffic := make([]float64, len(spec.Cores))
+	// Active traffic per switch, link and core NI under the mask, carved
+	// from one zeroed buffer that lives on the stack for designs of up
+	// to a few hundred switches, links and cores.
+	nSw, nLink := len(top.Switches), len(top.Links)
+	var stack [384]float64
+	traffic := stack[:]
+	if n := nSw + nLink + len(spec.Cores); n > len(stack) {
+		traffic = make([]float64, n)
+	}
+	swTraffic := traffic[:nSw:nSw]
+	linkTraffic := traffic[nSw : nSw+nLink : nSw+nLink]
+	niTraffic := traffic[nSw+nLink : nSw+nLink+len(spec.Cores)]
 	for ri := range top.Routes {
 		r := &top.Routes[ri]
 		if islandOff(off, spec.IslandOf[r.Flow.Src]) || islandOff(off, spec.IslandOf[r.Flow.Dst]) {

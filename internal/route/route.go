@@ -88,12 +88,21 @@ type Router struct {
 	maxSz  []int   // per island
 	minLat float64 // tightest latency constraint of the spec
 
+	// costs is the island-pair term table the current topology is priced
+	// from, resolved at the first query after New, Reset or
+	// SetIslandCosts: the pinned shared table when it covers the
+	// topology's island domains, the router's own otherwise.
+	costs  *IslandCosts
+	shared *IslandCosts
+	own    IslandCosts
+
 	// subs caches one admissible candidate subgraph per (source island,
-	// destination island) pair: Dijkstra only ever visits switches in
-	// the source, destination and intermediate islands, and the island
-	// discipline is encoded in the subgraph's arcs instead of being
-	// re-checked inside the per-edge cost closure.
-	subs map[islPair]*subgraph
+	// destination island) pair, in the dense slot src*nIsl+dst over the
+	// spec's islands: Dijkstra only ever visits switches in the source,
+	// destination and intermediate islands, and the island discipline is
+	// encoded in the subgraph's arcs instead of being re-checked inside
+	// the per-edge cost closure.
+	subs []*subgraph
 
 	// free recycles subgraphs across Reset cycles: a reused Router keeps
 	// the vertex/rank/local buffers of the previous candidate's
@@ -111,11 +120,9 @@ type Router struct {
 	pathBuf []topology.SwitchID
 
 	// costFn is allocated once; it prices the current query described
-	// by curSub/curFlow/latOnly.
-	costFn  graph.CostFunc
-	curSub  *subgraph
-	curFlow soc.Flow
-	latOnly bool
+	// by q.
+	costFn graph.CostFunc
+	q      query
 
 	// exclude is the per-query set of directed links the current
 	// disjoint-path search must avoid (the flow's primary route plus its
@@ -125,8 +132,34 @@ type Router struct {
 	exclude []topology.LinkID
 }
 
-// islPair keys the subgraph cache.
-type islPair struct{ src, dst soc.IslandID }
+// query is the state of one shortest-path search: the flow's constant
+// cost prefixes and a snapshot, by local vertex index, of the subgraph
+// switches. Links only open when a path is committed, so the ports,
+// sizes and islands read at query start hold for every relaxation.
+type query struct {
+	sub     *subgraph
+	links   topology.LinkIndex
+	latOnly bool
+	bw      float64
+
+	// Per-flow leading sub-products of the edge cost: bw*8*
+	// LinkEnergyPerBitMM*estLen (link dynamic energy), bw*8*
+	// FIFOEnergyPerBit (converter dynamic energy) and latW*tightness
+	// (latency pressure).
+	linkDyn float64
+	fifoDyn float64
+	latTerm float64
+
+	// Per-vertex snapshot: row/col locate the vertex's island in the
+	// pair table (row pre-multiplied by the table's stride), swDyn is
+	// the switch dynamic power term bw*8*eBit(size)*VoltageScaleDynamic
+	// of the vertex as a hop's downstream switch, and canOut/canIn
+	// whether opening a link may add an output/input port to it within
+	// its island's max_sw_size.
+	row, col      []int32
+	swDyn         []float64
+	canOut, canIn []bool
+}
 
 // subgraph is the candidate graph restricted to the switches a flow
 // between one island pair may touch. verts maps local vertex indices to
@@ -146,6 +179,96 @@ type subgraph struct {
 	local []int32
 }
 
+// pairCost holds the terms of an edge's cost that depend only on the
+// islands of its two endpoints (u in island iu, v in island iv). Each is
+// a leading sub-product or a whole additive term of the cost expression,
+// computed in the expression's own operation order, so pricing from the
+// table is bit-identical to evaluating the expression in full.
+type pairCost struct {
+	capLimit float64 // LinkCapacityBps(min(fu, fv))*(1+1e-9): bandwidth a new link admits
+	hopLat   float64 // zero-load cycles of the hop: switch, link, converter when crossing
+	vsdDst   float64 // VoltageScaleDynamic(vv)
+	vsdMax   float64 // VoltageScaleDynamic(max(vu, vv))
+	idle     float64 // opening: port idle power at both ends
+	swLeak   float64 // opening: port leakage at both ends
+	linkLeak float64 // opening: wire leakage
+	fifoLeak float64 // opening: converter leakage (0 unless crossing)
+}
+
+// IslandCosts is the per-island-pair table of edge-cost terms for a set
+// of island clocks and supplies under one Options. It relies on the
+// invariant that every switch runs at its island's entry in
+// Topology.IslandFreqHz and IslandVoltage, which Topology.Validate
+// checks. Once built it is read-only, so one table can be shared by
+// every router of a sweep (Router.SetIslandCosts).
+type IslandCosts struct {
+	lib     *model.Library
+	estLen  float64
+	freqHz  []float64
+	voltage []float64
+	n       int // islands covered; pairs is n×n, indexed iu*n+iv
+	pairs   []pairCost
+}
+
+// NewIslandCosts builds the table for islands with the given NoC clocks
+// and supplies (indexed by island ID, intermediate island included)
+// under opt.
+func NewIslandCosts(lib *model.Library, freqHz, voltage []float64, opt Options) *IslandCosts {
+	c := new(IslandCosts)
+	c.build(lib, freqHz, voltage, opt)
+	return c
+}
+
+// build (re)fills the table in place.
+func (c *IslandCosts) build(lib *model.Library, freqHz, voltage []float64, opt Options) {
+	n := len(freqHz)
+	c.lib, c.estLen, c.n = lib, opt.estLen(), n
+	c.freqHz = append(c.freqHz[:0], freqHz...)
+	c.voltage = append(c.voltage[:0], voltage...)
+	if cap(c.pairs) < n*n {
+		c.pairs = make([]pairCost, n*n)
+	}
+	c.pairs = c.pairs[:n*n]
+	for iu := 0; iu < n; iu++ {
+		fu, vu := freqHz[iu], voltage[iu]
+		for iv := 0; iv < n; iv++ {
+			fv, vv := freqHz[iv], voltage[iv]
+			vMax := math.Max(vu, vv)
+			pc := pairCost{
+				capLimit: lib.LinkCapacityBps(math.Min(fu, fv)) * (1 + 1e-9),
+				hopLat:   model.SwitchTraversalCycles + model.LinkTraversalCycles,
+				vsdDst:   lib.VoltageScaleDynamic(vv),
+				vsdMax:   lib.VoltageScaleDynamic(vMax),
+				idle:     lib.SwitchIdlePerPortHz * (fu + fv) * lib.VoltageScaleDynamic(vMax),
+				swLeak:   lib.SwitchLeakPowerW(1, vu) + lib.SwitchLeakPowerW(1, vv),
+				linkLeak: lib.LinkLeakPowerW(c.estLen, vMax),
+			}
+			if iu != iv {
+				pc.hopLat += model.FIFOCrossingCycles
+				pc.fifoLeak = lib.FIFOLeakPowerW(vu, vv)
+			}
+			c.pairs[iu*n+iv] = pc
+		}
+	}
+}
+
+// covers reports whether the table prices top under opt: same library
+// and wire estimate, and bit-identical clocks and supplies for every
+// island of top.
+func (c *IslandCosts) covers(top *topology.Topology, opt Options) bool {
+	n := top.NumIslands()
+	if c.lib != top.Lib || math.Float64bits(c.estLen) != math.Float64bits(opt.estLen()) || c.n < n {
+		return false
+	}
+	for i := 0; i < n; i++ {
+		if math.Float64bits(c.freqHz[i]) != math.Float64bits(top.IslandFreqHz[i]) ||
+			math.Float64bits(c.voltage[i]) != math.Float64bits(top.IslandVoltage[i]) {
+			return false
+		}
+	}
+	return true
+}
+
 // scratchPool recycles Dijkstra scratch state across Routers: the
 // synthesis sweep creates one Router per candidate design point, and
 // pooling means each sweep worker re-uses one warm buffer set instead
@@ -156,31 +279,18 @@ var scratchPool = sync.Pool{New: func() any { return new(graph.Scratch) }}
 // contain all switches and core attachments; links and routes are added
 // by the router.
 func New(top *topology.Topology, opt Options) *Router {
-	r := &Router{
-		top:    top,
-		opt:    opt,
-		minLat: top.Spec.MinLatencyConstraint(),
-		subs:   make(map[islPair]*subgraph),
-	}
-	if opt.MaxSwitchSize != nil {
-		r.maxSz = opt.MaxSwitchSize
-	} else {
-		r.maxSz = make([]int, top.NumIslands())
-		for i := range r.maxSz {
-			r.maxSz[i] = top.Lib.MaxSwitchSize(top.IslandFreqHz[i])
-		}
-	}
-	r.costFn = func(u, v int, _ float64) float64 {
-		return r.edgeCost(r.curSub.verts[u], r.curSub.verts[v], r.curFlow, r.latOnly)
-	}
+	r := &Router{opt: opt}
+	r.costFn = func(u, v int, _ float64) float64 { return r.edgeCost(u, v) }
+	r.Reset(top)
 	return r
 }
 
 // Reset re-targets the router at a new topology under the same options,
-// recycling the subgraph cache, the per-island size bounds and the cost
-// closure of the previous candidate. After Reset the router behaves
-// exactly like New(top, opt) with the original opt: the synthesis
-// arena's identity guarantee rests on that equivalence.
+// recycling the subgraph cache, the per-island size bounds, the cost
+// tables and the cost closure of the previous candidate. After Reset the
+// router behaves exactly like New(top, opt) with the original opt (plus
+// any pinned scratch and island-cost table): the synthesis arena's
+// identity guarantee rests on that equivalence.
 func (r *Router) Reset(top *topology.Topology) {
 	r.top = top
 	r.minLat = top.Spec.MinLatencyConstraint()
@@ -196,11 +306,18 @@ func (r *Router) Reset(top *topology.Topology) {
 			r.maxSz[i] = top.Lib.MaxSwitchSize(top.IslandFreqHz[i])
 		}
 	}
-	//noclint:ignore maprange freelist harvest order is invisible: subgraphFor fully refills a recycled subgraph, so any order yields identical routing
-	for _, s := range r.subs {
-		r.free = append(r.free, s)
+	for i, s := range r.subs {
+		if s != nil {
+			r.free = append(r.free, s)
+			r.subs[i] = nil
+		}
 	}
-	clear(r.subs)
+	n := len(top.Spec.Islands)
+	if cap(r.subs) < n*n {
+		r.subs = make([]*subgraph, n*n)
+	}
+	r.subs = r.subs[:n*n]
+	r.costs = nil
 }
 
 // SetScratch pins caller-owned Dijkstra scratch state to the router,
@@ -209,13 +326,40 @@ func (r *Router) Reset(top *topology.Topology) {
 // pin it so repeated candidates never touch the pool's lock.
 func (r *Router) SetScratch(sc *graph.Scratch) { r.scratch = sc }
 
+// SetIslandCosts pins a shared, read-only island-pair table to the
+// router. It is used for every topology whose island clocks and
+// supplies it covers; for any other the router builds its own, so a
+// pinned table never changes a result, only what is allocated. The
+// synthesis sweep builds one table per call and pins it on every
+// worker's router.
+func (r *Router) SetIslandCosts(c *IslandCosts) {
+	r.shared = c
+	r.costs = nil
+}
+
+// islandCosts resolves the pair table for the current topology.
+func (r *Router) islandCosts() *IslandCosts {
+	if r.costs == nil {
+		switch top := r.top; {
+		case r.shared != nil && r.shared.covers(top, r.opt):
+			r.costs = r.shared
+		default:
+			if !r.own.covers(top, r.opt) {
+				r.own.build(top.Lib, top.IslandFreqHz, top.IslandVoltage, r.opt)
+			}
+			r.costs = &r.own
+		}
+	}
+	return r.costs
+}
+
 // subgraphFor returns (building and caching on first use) the
 // admissible subgraph for flows from srcIsl to dstIsl. The switch set
 // is fixed before routing starts, so a cached subgraph stays valid for
 // the Router's lifetime; only edge costs change as links open.
 func (r *Router) subgraphFor(srcIsl, dstIsl soc.IslandID) *subgraph {
-	key := islPair{src: srcIsl, dst: dstIsl}
-	if s, ok := r.subs[key]; ok {
+	slot := int(srcIsl)*len(r.top.Spec.Islands) + int(dstIsl)
+	if s := r.subs[slot]; s != nil {
 		return s
 	}
 	top := r.top
@@ -257,7 +401,7 @@ func (r *Router) subgraphFor(srcIsl, dstIsl soc.IslandID) *subgraph {
 		s.verts = append(s.verts, topology.SwitchID(i))
 		s.rank = append(s.rank, rk)
 	}
-	r.subs[key] = s
+	r.subs[slot] = s
 	return s
 }
 
@@ -395,56 +539,27 @@ func (r *Router) commitBackup(ri int, path []topology.SwitchID) error {
 	return r.top.AddBackup(ri, topology.Path{Switches: sw, Links: links})
 }
 
-// allowed reports whether the directed candidate edge u->v may be used
-// by a flow travelling from srcIsl to dstIsl. The subgraph builder
-// encodes this predicate into the candidate arcs, so the routing inner
-// loop never evaluates it per relaxation.
-func (r *Router) allowed(u, v topology.SwitchID, srcIsl, dstIsl soc.IslandID) bool {
-	return allowedIslands(r.top.Switches[u].Island, r.top.Switches[v].Island,
-		srcIsl, dstIsl, r.top.NoCIsland)
-}
+// edgeCost prices candidate edge u->v, given by local vertex indices of
+// the current query's subgraph. It returns +Inf when the edge is
+// unusable (capacity or switch size). q.latOnly selects the
+// pure-latency fallback objective.
+//
+// The blended objective is the marginal power of carrying the flow over
+// the hop — the downstream switch, the wire, the converter when the
+// edge crosses islands, and for an absent link the one-time cost of
+// opening it (port idle power at both ends, port and wire leakage,
+// converter leakage when crossing) — scaled by the congestion pressure,
+// plus a latency term: tighter-constrained flows pay more per cycle,
+// steering them onto shorter paths. The terms are added in a fixed
+// order from the query's per-flow prefixes and per-vertex snapshot and
+// the pair table, each computed in the order of the full expression, so
+// the sum is bit-identical to evaluating it term by term.
+func (r *Router) edgeCost(u, v int) float64 {
+	q := &r.q
+	su, sv := q.sub.verts[u], q.sub.verts[v]
+	pc := &r.costs.pairs[q.row[u]+q.col[v]]
 
-// allowedIslands is the island-level forward discipline: a flow may
-// only move S→S, S→M, S→D, M→M, M→D or D→D, which bounds latency and
-// makes island shutdown safe by construction.
-func allowedIslands(iu, iv, srcIsl, dstIsl, mid soc.IslandID) bool {
-	in := func(i soc.IslandID) bool { return i == srcIsl || i == dstIsl || (mid != soc.NoIsland && i == mid) }
-	if !in(iu) || !in(iv) {
-		return false
-	}
-	if iu == iv {
-		return true
-	}
-	switch {
-	case iu == srcIsl && (iv == dstIsl || iv == mid):
-		return true
-	case iu == mid && iv == dstIsl:
-		return true
-	}
-	return false
-}
-
-// hopLatency returns the zero-load cycles added by traversing candidate
-// edge u->v (the downstream switch, the link, and the converter when the
-// edge crosses islands).
-func (r *Router) hopLatency(u, v topology.SwitchID) float64 {
-	lat := model.SwitchTraversalCycles + model.LinkTraversalCycles
-	if r.top.Switches[u].Island != r.top.Switches[v].Island {
-		lat += model.FIFOCrossingCycles
-	}
-	return lat
-}
-
-// edgeCost prices candidate edge u->v for a flow of bandwidth bw. It
-// returns +Inf when the edge is unusable (capacity or switch size).
-// latOnly selects the pure-latency fallback objective.
-func (r *Router) edgeCost(u, v topology.SwitchID, f soc.Flow, latOnly bool) float64 {
-	lib := r.top.Lib
-	su, sv := &r.top.Switches[u], &r.top.Switches[v]
-	crossing := su.Island != sv.Island
-	bw := f.BandwidthBps
-
-	lid, exists := r.top.FindLink(u, v)
+	lid, exists := q.links.Find(su, sv)
 	var pressure float64
 	if exists {
 		for _, ex := range r.exclude {
@@ -452,59 +567,80 @@ func (r *Router) edgeCost(u, v topology.SwitchID, f soc.Flow, latOnly bool) floa
 				return graph.Inf // disjoint-path search: link already used by this flow
 			}
 		}
-		l := r.top.Links[lid]
-		if l.TrafficBps+bw > l.CapacityBps*(1+1e-9) {
+		l := &r.top.Links[lid]
+		if l.TrafficBps+q.bw > l.CapacityBps*(1+1e-9) {
 			return graph.Inf
 		}
 		if r.opt.BalanceLoad && l.CapacityBps > 0 {
-			u := (l.TrafficBps + bw) / l.CapacityBps
+			u := (l.TrafficBps + q.bw) / l.CapacityBps
 			pressure = u * u // quadratic: near-full links repel strongly
 		}
-	} else if r.opt.NoNewLinks {
+	} else if r.opt.NoNewLinks || !q.canOut[u] || !q.canIn[v] || q.bw > pc.capLimit {
+		// Opening u->v adds an output port at u and an input port at v,
+		// and the new link must carry the flow at the slower clock.
 		return graph.Inf
-	} else {
-		// Opening u->v adds an output port at u and an input port at v.
-		inU, outU := r.top.SwitchPorts(u)
-		inV, outV := r.top.SwitchPorts(v)
-		if max(inU, outU+1) > r.maxSz[su.Island] || max(inV+1, outV) > r.maxSz[sv.Island] {
-			return graph.Inf
-		}
-		minF := math.Min(su.FreqHz, sv.FreqHz)
-		if bw > lib.LinkCapacityBps(minF)*(1+1e-9) {
-			return graph.Inf
-		}
 	}
 
-	if latOnly {
-		return r.hopLatency(u, v)
+	if q.latOnly {
+		return pc.hopLat
 	}
 
-	// Marginal power of carrying the flow over this hop.
-	vMax := math.Max(su.VoltageV, sv.VoltageV)
-	eBit := lib.SwitchEnergyBase + lib.SwitchEnergyPerPort*float64(r.top.SwitchSize(v))
-	power := bw * 8 * eBit * lib.VoltageScaleDynamic(sv.VoltageV)
-	power += lib.LinkDynPowerW(r.opt.estLen(), vMax, bw)
+	crossing := q.col[u] != q.col[v]
+	power := q.swDyn[v]
+	power += q.linkDyn * pc.vsdMax
 	if crossing {
-		power += lib.FIFODynPowerW(su.VoltageV, sv.VoltageV, bw)
+		power += q.fifoDyn * pc.vsdMax
 	}
 	if !exists {
-		// One-time cost of the new link: port idle power at both ends,
-		// port + wire leakage, converter leakage when crossing.
-		power += lib.SwitchIdlePerPortHz * (su.FreqHz + sv.FreqHz) * lib.VoltageScaleDynamic(vMax)
-		power += lib.SwitchLeakPowerW(1, su.VoltageV) + lib.SwitchLeakPowerW(1, sv.VoltageV)
-		power += lib.LinkLeakPowerW(r.opt.estLen(), vMax)
+		power += pc.idle
+		power += pc.swLeak
+		power += pc.linkLeak
 		if crossing {
-			power += lib.FIFOLeakPowerW(su.VoltageV, sv.VoltageV)
+			power += pc.fifoLeak
 		}
 	}
+	return power*(1+pressure) + q.latTerm*pc.hopLat
+}
 
-	// Latency pressure: tighter-constrained flows pay more per cycle,
-	// steering them onto shorter paths.
+// begin snapshots the query state for flow f over sub: the flow's cost
+// prefixes and, per subgraph vertex, its pair-table coordinates, its
+// downstream switch power and whether it may gain a port.
+func (r *Router) begin(f soc.Flow, sub *subgraph, latOnly bool) {
+	top, lib, costs := r.top, r.top.Lib, r.islandCosts()
+	q := &r.q
+	q.sub, q.links, q.latOnly, q.bw = sub, top.LinkIndex(), latOnly, f.BandwidthBps
+	bw8 := f.BandwidthBps * 8
+	q.linkDyn = bw8 * lib.LinkEnergyPerBitMM * costs.estLen
+	q.fifoDyn = bw8 * lib.FIFOEnergyPerBit
 	tightness := 0.0
 	if f.MaxLatencyCycles > 0 && r.minLat > 0 {
 		tightness = r.minLat / f.MaxLatencyCycles
 	}
-	return power*(1+pressure) + r.opt.latW()*tightness*r.hopLatency(u, v)
+	q.latTerm = r.opt.latW() * tightness
+
+	n := len(sub.verts)
+	q.row, q.col = grow(q.row, n), grow(q.col, n)
+	q.swDyn = grow(q.swDyn, n)
+	q.canOut, q.canIn = grow(q.canOut, n), grow(q.canIn, n)
+	for i, sw := range sub.verts {
+		isl := top.Switches[sw].Island
+		in, out := top.SwitchPorts(sw)
+		size := max(in, out)
+		q.row[i], q.col[i] = int32(int(isl)*costs.n), int32(isl)
+		eBit := lib.SwitchEnergyBase + lib.SwitchEnergyPerPort*float64(size)
+		q.swDyn[i] = bw8 * eBit * costs.pairs[int(isl)*costs.n+int(isl)].vsdDst
+		q.canOut[i] = max(in, out+1) <= r.maxSz[isl]
+		q.canIn[i] = max(in+1, out) <= r.maxSz[isl]
+	}
+}
+
+// grow returns s resized to n, reusing its storage when large enough.
+// The contents are unspecified.
+func grow[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
 }
 
 // shortest runs Dijkstra over the flow's admissible subgraph. It
@@ -518,7 +654,7 @@ func (r *Router) shortest(f soc.Flow, src, dst topology.SwitchID, latOnly bool) 
 	if r.scratch == nil {
 		r.scratch = scratchPool.Get().(*graph.Scratch)
 	}
-	r.curSub, r.curFlow, r.latOnly = sub, f, latOnly
+	r.begin(f, sub, latOnly)
 	path, c := r.scratch.ShortestPathDense(len(sub.verts), sub.rank, int(ls), int(ld), r.costFn)
 	if math.IsInf(c, 1) {
 		return nil
@@ -582,11 +718,4 @@ func (r *Router) commit(f soc.Flow, path []topology.SwitchID) error {
 	sw := r.top.TakeRouteSwitches(len(path))
 	copy(sw, path)
 	return r.top.AddRoute(topology.Route{Flow: f, Switches: sw, Links: links})
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

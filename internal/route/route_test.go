@@ -236,6 +236,17 @@ func TestMaxSwitchSizesDerived(t *testing.T) {
 	}
 }
 
+// arc reports whether the candidate arc u->v exists in the admissible
+// subgraph for flows from srcIsl to dstIsl: both switches in it, and u
+// not ranked after v.
+func (r *Router) arc(u, v topology.SwitchID, srcIsl, dstIsl soc.IslandID) bool {
+	sub := r.subgraphFor(srcIsl, dstIsl)
+	lu, lv := sub.local[u], sub.local[v]
+	return lu >= 0 && lv >= 0 && sub.rank[lu] <= sub.rank[lv]
+}
+
+// TestAllowedDiscipline checks the island forward discipline as the
+// subgraphs encode it.
 func TestAllowedDiscipline(t *testing.T) {
 	spec := threeIslandSpec()
 	top := build(t, spec, true)
@@ -259,7 +270,7 @@ func TestAllowedDiscipline(t *testing.T) {
 		if c.u == c.v {
 			continue
 		}
-		if got := r.allowed(c.u, c.v, c.src, c.dst); got != c.want {
+		if got := r.arc(c.u, c.v, c.src, c.dst); got != c.want {
 			t.Fatalf("case %d: allowed(%d->%d for %d->%d) = %v, want %v", i, c.u, c.v, c.src, c.dst, got, c.want)
 		}
 	}
@@ -363,5 +374,68 @@ func TestBalanceLoadSpreadsTraffic(t *testing.T) {
 	// With balancing both mid switches carry traffic.
 	if bal.SwitchTrafficBps(2) == 0 || bal.SwitchTrafficBps(3) == 0 {
 		t.Fatal("balanced routing left one parallel path unused")
+	}
+}
+
+// sameRouting reports whether two routed topologies hold the same links
+// (with the same traffic) and the same routes.
+func sameRouting(a, b *topology.Topology) bool {
+	if len(a.Links) != len(b.Links) || len(a.Routes) != len(b.Routes) {
+		return false
+	}
+	for i := range a.Links {
+		if a.Links[i] != b.Links[i] {
+			return false
+		}
+	}
+	for i := range a.Routes {
+		ra, rb := a.Routes[i], b.Routes[i]
+		if ra.Flow != rb.Flow || len(ra.Switches) != len(rb.Switches) {
+			return false
+		}
+		for j := range ra.Switches {
+			if ra.Switches[j] != rb.Switches[j] {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// TestPinnedIslandCosts checks that a shared island-pair table is used
+// exactly for the topologies whose island clocks and supplies it covers
+// — including a topology without the intermediate island the table
+// also covers — and that pinning never changes a result.
+func TestPinnedIslandCosts(t *testing.T) {
+	spec := threeIslandSpec()
+	for _, withMid := range []bool{false, true} {
+		want := build(t, spec, withMid)
+		if err := New(want, Options{}).RouteAll(); err != nil {
+			t.Fatal(err)
+		}
+		ref := build(t, spec, true) // island domains including the intermediate island
+		lib := ref.Lib
+		matching := NewIslandCosts(lib, ref.IslandFreqHz, ref.IslandVoltage, Options{})
+		other := NewIslandCosts(lib, ref.IslandFreqHz, []float64{1.2, 1.2, 1.2, 1.2}, Options{})
+		longer := NewIslandCosts(lib, ref.IslandFreqHz, ref.IslandVoltage, Options{EstLinkLengthMM: 3})
+		for _, tc := range []struct {
+			name   string
+			table  *IslandCosts
+			shared bool
+		}{{"matching", matching, true}, {"other voltages", other, false}, {"other wire length", longer, false}} {
+			top := build(t, spec, withMid)
+			top.Lib = lib
+			r := New(top, Options{})
+			r.SetIslandCosts(tc.table)
+			if err := r.RouteAll(); err != nil {
+				t.Fatal(err)
+			}
+			if used := r.islandCosts() == tc.table; used != tc.shared {
+				t.Fatalf("mid=%v %s: pinned table used = %v, want %v", withMid, tc.name, used, tc.shared)
+			}
+			if !sameRouting(top, want) {
+				t.Fatalf("mid=%v %s: pinned table changed the routing", withMid, tc.name)
+			}
+		}
 	}
 }
