@@ -353,3 +353,20 @@ func TestLoaderRejectsMissingDir(t *testing.T) {
 		t.Fatal("expected an error for a pattern with no Go files")
 	}
 }
+
+// TestWalkSkipsNestedModules pins the go tool's "./..." semantics for
+// nested modules: the recursive pattern loads the enclosing module's
+// package beside a directory holding its own go.mod, but nothing in or
+// below that directory, whose unannotated findings would fail the
+// golden check.
+func TestWalkSkipsNestedModules(t *testing.T) {
+	pkgs := loadFixture(t, "./nestedmod/...")
+	if len(pkgs) != 1 || pkgs[0].Path != "fixture/nestedmod/outer" {
+		var paths []string
+		for _, p := range pkgs {
+			paths = append(paths, p.Path)
+		}
+		t.Fatalf("loaded %v, want only fixture/nestedmod/outer", paths)
+	}
+	runGolden(t, Analyzers, "./nestedmod/...")
+}

@@ -86,7 +86,8 @@ func modulePath(gomod string) (string, error) {
 // deterministic (sorted import path) order. Supported patterns are a
 // plain relative directory ("./cmd/noclint") and the recursive form
 // ("./...", "./internal/..."), mirroring the go tool. Directories named
-// testdata or vendor and directories starting with "." or "_" are
+// testdata or vendor, directories starting with "." or "_", and nested
+// modules (directories below the pattern's base holding a go.mod) are
 // skipped by the recursive form.
 func (l *Loader) LoadPatterns(patterns ...string) ([]*Package, error) {
 	if len(patterns) == 0 {
@@ -141,7 +142,9 @@ func (l *Loader) LoadPatterns(patterns ...string) ([]*Package, error) {
 }
 
 // walkGoDirs collects, into out, every directory under base holding at
-// least one analyzable Go file.
+// least one analyzable Go file. Like the go tool's "./...", it does not
+// enter a directory below base that holds its own go.mod: that subtree
+// is another module.
 func walkGoDirs(base string, tests bool, out map[string]bool) error {
 	return filepath.WalkDir(base, func(p string, d os.DirEntry, err error) error {
 		if err != nil {
@@ -154,6 +157,13 @@ func walkGoDirs(base string, tests bool, out map[string]bool) error {
 		if p != base && (name == "testdata" || name == "vendor" ||
 			strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_")) {
 			return filepath.SkipDir
+		}
+		if p != base {
+			if _, err := os.Stat(filepath.Join(p, "go.mod")); err == nil {
+				return filepath.SkipDir // a nested module
+			} else if !errors.Is(err, os.ErrNotExist) {
+				return err
+			}
 		}
 		ok, err := hasGoFiles(p, tests)
 		if err != nil {
