@@ -61,6 +61,8 @@ import (
 // per-candidate allocations in the deadlock check and the power model.
 // The golden result digests and the frozen-router equivalence tests
 // prove every result unchanged; the bump re-records the engine surface.
+// Spec validation also now rejects infinite core areas and powers and
+// negative or infinite core frequencies, which v4 synthesized.
 const EngineVersion = 5
 
 // Entry classes: the subdirectory an artifact kind lives under. Keys

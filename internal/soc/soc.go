@@ -80,7 +80,8 @@ type Core struct {
 	// FreqHz is the core's own operating frequency. The network
 	// interface performs clock conversion between the core clock and
 	// the island's NoC clock, so this does not constrain the NoC
-	// frequency directly; it is reported for completeness.
+	// frequency directly; it is reported for completeness. Zero means
+	// unset; a negative or non-finite frequency is invalid.
 	FreqHz float64
 
 	// DynPowerW is the core's active dynamic power draw in watts. It is
@@ -136,7 +137,8 @@ type Spec struct {
 // Validate checks the internal consistency of the specification. It
 // verifies ID density, island assignment bounds, flow endpoints, and
 // physical sense: strictly positive finite bandwidths and island
-// voltages, finite latency constraints, and no NaN core parameter.
+// voltages, finite latency constraints, and finite non-negative core
+// parameters (area, frequency, dynamic and leakage power).
 func (s *Spec) Validate() error {
 	if len(s.Cores) == 0 {
 		return fmt.Errorf("spec %q: no cores", s.Name)
@@ -154,15 +156,15 @@ func (s *Spec) Validate() error {
 		if c.Name == "" {
 			return fmt.Errorf("spec %q: core %d has empty name", s.Name, i)
 		}
-		if c.AreaMM2 < 0 || c.DynPowerW < 0 || c.LeakPowerW < 0 {
-			return fmt.Errorf("spec %q: core %q has negative physical parameter", s.Name, c.Name)
-		}
 		for _, p := range []struct {
 			field string
 			v     float64
 		}{{"AreaMM2", c.AreaMM2}, {"FreqHz", c.FreqHz}, {"DynPowerW", c.DynPowerW}, {"LeakPowerW", c.LeakPowerW}} {
-			if math.IsNaN(p.v) {
-				return fmt.Errorf("spec %q: core %q has NaN %s", s.Name, c.Name, p.field)
+			if math.IsNaN(p.v) || math.IsInf(p.v, 0) {
+				return fmt.Errorf("spec %q: core %q has non-finite %s %g", s.Name, c.Name, p.field, p.v)
+			}
+			if p.v < 0 {
+				return fmt.Errorf("spec %q: core %q has negative %s %g", s.Name, c.Name, p.field, p.v)
 			}
 		}
 	}

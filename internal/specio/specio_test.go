@@ -263,12 +263,13 @@ func TestReadTopologyErrors(t *testing.T) {
 // reaches +Inf through ReadSpec's unit conversion.
 func TestPhysicallyMeaninglessSpecsRejected(t *testing.T) {
 	const base = `{"name":"x","islands":[{"name":"i","voltage_v":%s},{"name":"j","voltage_v":1}],` +
-		`"cores":[{"name":"a","class":"cpu","island":"i","area_mm2":1},{"name":"b","class":"dsp","island":"j","area_mm2":1}],` +
+		`"cores":[{"name":"a","class":"cpu","island":"i","area_mm2":1%s},{"name":"b","class":"dsp","island":"j","area_mm2":1}],` +
 		`"flows":[{"src":"a","dst":"b","bandwidth_mbps":%s}]}`
+	spec := func(voltage, bandwidth, coreA string) string { return fmt.Sprintf(base, voltage, coreA, bandwidth) }
 	nan, inf := math.NaN(), math.Inf(1)
 	cases := []struct {
 		name, field string
-		json        []string // voltage_v and bandwidth_mbps; nil when JSON cannot express the case
+		json        []string // voltage_v, bandwidth_mbps and extra fields of core a; nil when JSON cannot express the case
 		mutate      func(*soc.Spec)
 	}{
 		{"zero voltage", "VoltageV", []string{"0", "100"}, func(s *soc.Spec) { s.Islands[0].VoltageV = 0 }},
@@ -283,21 +284,35 @@ func TestPhysicallyMeaninglessSpecsRejected(t *testing.T) {
 		{"NaN frequency", "FreqHz", nil, func(s *soc.Spec) { s.Cores[1].FreqHz = nan }},
 		{"NaN dynamic power", "DynPowerW", nil, func(s *soc.Spec) { s.Cores[0].DynPowerW = nan }},
 		{"NaN leakage", "LeakPowerW", nil, func(s *soc.Spec) { s.Cores[1].LeakPowerW = nan }},
+		{"infinite area", "AreaMM2", nil, func(s *soc.Spec) { s.Cores[0].AreaMM2 = inf }},
+		{"infinite dynamic power", "DynPowerW", nil, func(s *soc.Spec) { s.Cores[1].DynPowerW = inf }},
+		{"infinite leakage", "LeakPowerW", nil, func(s *soc.Spec) { s.Cores[0].LeakPowerW = inf }},
+		{"negative frequency", "FreqHz", []string{"1", "100", `,"freq_mhz":-200`}, func(s *soc.Spec) { s.Cores[0].FreqHz = -200e6 }},
+		{"overflowing frequency", "FreqHz", []string{"1", "100", `,"freq_mhz":1e305`}, func(s *soc.Spec) { s.Cores[0].FreqHz = inf }},
+		{"negative infinite frequency", "FreqHz", nil, func(s *soc.Spec) { s.Cores[1].FreqHz = -inf }},
 	}
 	lib := model.Default65nm()
-	valid := fmt.Sprintf(base, "1", "100")
+	valid := spec("1", "100", "")
 	read := func(body string) (*soc.Spec, error) { return ReadSpec(strings.NewReader(body)) }
-	spec, err := read(valid)
-	if err != nil {
-		t.Fatalf("base spec rejected: %v", err)
-	}
-	if _, err := core.Synthesize(spec, lib, core.Options{}); err != nil {
-		t.Fatalf("base spec does not synthesize: %v", err)
+	// The base spec leaves every core frequency at 0, which means unset,
+	// and an explicit positive one is as valid.
+	for _, body := range []string{valid, spec("1", "100", `,"freq_mhz":500`)} {
+		s, err := read(body)
+		if err != nil {
+			t.Fatalf("base spec rejected: %v", err)
+		}
+		if _, err := core.Synthesize(s, lib, core.Options{}); err != nil {
+			t.Fatalf("base spec does not synthesize: %v", err)
+		}
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			if tc.json != nil {
-				_, err := read(fmt.Sprintf(base, tc.json[0], tc.json[1]))
+				extra := ""
+				if len(tc.json) > 2 {
+					extra = tc.json[2]
+				}
+				_, err := read(spec(tc.json[0], tc.json[1], extra))
 				if err == nil || !strings.Contains(err.Error(), tc.field) {
 					t.Fatalf("ReadSpec: got %v, want an error naming %s", err, tc.field)
 				}
