@@ -21,6 +21,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 
 	"nocvi/internal/core"
 	"nocvi/internal/floorplan"
@@ -447,7 +448,13 @@ func decodeTopology(d *dec, spec *soc.Spec, lib *model.Library) (*topology.Topol
 		top.AddNoCIsland(freqs[len(freqs)-1], volts[len(volts)-1])
 	}
 
+	// Counts read from the blob size the topology's slices up front
+	// (each is bounded by the bytes left, so a corrupt count cannot
+	// reserve more than the blob could describe): a hit replays dozens
+	// of topologies, and growing every slice by appends dominated it.
+	// An empty slice stays nil, as the engine leaves it.
 	nSw := d.length()
+	top.Switches = reserve(top.Switches, nSw)
 	for i := 0; i < nSw && d.err == nil; i++ {
 		island := d.int()
 		indirect := d.bool()
@@ -461,16 +468,32 @@ func decodeTopology(d *dec, spec *soc.Spec, lib *model.Library) (*topology.Topol
 	if d.err != nil || nCores != len(spec.Cores) {
 		return nil, errCorrupt
 	}
-	for c := 0; c < nCores; c++ {
+	attach := make([]int, nCores)
+	perSwitch := make([]int, nSw)
+	for c := range attach {
 		sw := d.int()
 		if d.err != nil {
 			return nil, d.err
 		}
-		if sw < 0 {
-			continue // unattached in the encoded design
-		}
 		if sw >= nSw {
 			return nil, errCorrupt
+		}
+		if sw >= 0 {
+			perSwitch[sw]++
+		}
+		attach[c] = sw
+	}
+	// Every switch's core list gets its exact capacity in one shared
+	// array; AttachCore appends within it.
+	cores := make([]soc.CoreID, nCores)
+	for sw, n := range perSwitch {
+		if n > 0 {
+			top.Switches[sw].Cores, cores = cores[:0:n], cores[n:]
+		}
+	}
+	for c, sw := range attach {
+		if sw < 0 {
+			continue // unattached in the encoded design
 		}
 		if err := top.AttachCore(soc.CoreID(c), topology.SwitchID(sw)); err != nil {
 			return nil, fmt.Errorf("cache: %w", err)
@@ -478,6 +501,7 @@ func decodeTopology(d *dec, spec *soc.Spec, lib *model.Library) (*topology.Topol
 	}
 
 	nLinks := d.length()
+	top.Links = reserve(top.Links, nLinks)
 	for i := 0; i < nLinks && d.err == nil; i++ {
 		from, to := d.int(), d.int()
 		length := d.f64()
@@ -495,6 +519,9 @@ func decodeTopology(d *dec, spec *soc.Spec, lib *model.Library) (*topology.Topol
 	}
 
 	nRoutes := d.length()
+	top.Routes = reserve(top.Routes, nRoutes)
+	var swSlab slab[topology.SwitchID]
+	var linkSlab slab[topology.LinkID]
 	for i := 0; i < nRoutes && d.err == nil; i++ {
 		var flow soc.Flow
 		flow.Src = soc.CoreID(d.int())
@@ -509,7 +536,7 @@ func decodeTopology(d *dec, spec *soc.Spec, lib *model.Library) (*topology.Topol
 		if d.err != nil || nPath == 0 {
 			return nil, errCorrupt
 		}
-		sws := make([]topology.SwitchID, nPath)
+		sws := swSlab.take(nPath)
 		for p := range sws {
 			sw := d.int()
 			if sw < 0 || sw >= nSw {
@@ -523,7 +550,7 @@ func decodeTopology(d *dec, spec *soc.Spec, lib *model.Library) (*topology.Topol
 		}
 		var links []topology.LinkID
 		if linksNotNil {
-			links = make([]topology.LinkID, nPath-1)
+			links = linkSlab.take(nPath - 1)
 			for p := 0; p+1 < nPath; p++ {
 				lid, ok := top.FindLink(sws[p], sws[p+1])
 				if !ok {
@@ -586,6 +613,29 @@ func decodeTopology(d *dec, spec *soc.Spec, lib *model.Library) (*topology.Topol
 		return nil, d.err
 	}
 	return top, nil
+}
+
+// reserve returns s with room for n more elements, or s itself when n
+// is 0.
+func reserve[T any](s []T, n int) []T {
+	if n == 0 {
+		return s
+	}
+	return slices.Grow(s, n)
+}
+
+// slab hands out non-nil, capacity-capped sub-slices of shared backing
+// arrays, so the route paths of a decoded topology cost a few
+// allocations instead of two per route.
+type slab[T any] struct{ buf []T }
+
+func (s *slab[T]) take(n int) []T {
+	if len(s.buf) < n || s.buf == nil {
+		s.buf = make([]T, max(n, 128))
+	}
+	out := s.buf[:n:n]
+	s.buf = s.buf[n:]
+	return out
 }
 
 func encodePlacement(e *enc, p *floorplan.Placement) {

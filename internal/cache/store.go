@@ -58,7 +58,8 @@ import (
 // v5: the cheap routing inner loop (a dense link index in the topology,
 // per-flow and per-island-pair edge-cost terms, a per-query vertex
 // snapshot, settled vertices skipped by Dijkstra) and fewer
-// per-candidate allocations in the deadlock check and the power model.
+// per-candidate allocations in the deadlock check and the power model;
+// a cache hit decodes each topology into pre-sized slices.
 // The golden result digests and the frozen-router equivalence tests
 // prove every result unchanged; the bump re-records the engine surface.
 // Spec validation also now rejects infinite core areas and powers and
