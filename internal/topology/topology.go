@@ -625,7 +625,7 @@ func (t *Topology) checkPath(f soc.Flow, switches []SwitchID, links []LinkID) er
 // at their island clock, latency constraints met, and shutdown safety.
 // It returns the first violation found.
 func (t *Topology) Validate() error {
-	if err := t.ValidateSwitchDomains(); err != nil {
+	if err := t.checkSwitchDomains(); err != nil {
 		return err
 	}
 	for c := range t.Spec.Cores {
@@ -646,12 +646,12 @@ func (t *Topology) Validate() error {
 	return t.ValidateShutdownSafe()
 }
 
-// ValidateSwitchDomains checks that every switch runs at exactly its
+// checkSwitchDomains checks that every switch runs at exactly its
 // island's entry in IslandFreqHz and IslandVoltage. AddSwitch copies
 // both from the island, and the router prices candidate edges from
 // per-island-pair tables that rely on the copies staying equal, so a
 // switch whose clock or supply drifted from its island is rejected.
-func (t *Topology) ValidateSwitchDomains() error {
+func (t *Topology) checkSwitchDomains() error {
 	for _, s := range t.Switches {
 		if s.Island < 0 || int(s.Island) >= len(t.IslandFreqHz) || int(s.Island) >= len(t.IslandVoltage) {
 			return fmt.Errorf("topology: switch %d in unknown island %d", s.ID, s.Island)
