@@ -339,17 +339,17 @@ func (r *Router) SetIslandCosts(c *IslandCosts) {
 
 // islandCosts resolves the pair table for the current topology.
 func (r *Router) islandCosts() *IslandCosts {
-	if r.costs == nil {
-		switch top := r.top; {
-		case r.shared != nil && r.shared.covers(top, r.opt):
-			r.costs = r.shared
-		default:
-			if !r.own.covers(top, r.opt) {
-				r.own.build(top.Lib, top.IslandFreqHz, top.IslandVoltage, r.opt)
-			}
-			r.costs = &r.own
-		}
+	if r.costs != nil {
+		return r.costs
 	}
+	if r.shared != nil && r.shared.covers(r.top, r.opt) {
+		r.costs = r.shared
+		return r.costs
+	}
+	if !r.own.covers(r.top, r.opt) {
+		r.own.build(r.top.Lib, r.top.IslandFreqHz, r.top.IslandVoltage, r.opt)
+	}
+	r.costs = &r.own
 	return r.costs
 }
 
