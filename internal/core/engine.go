@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"runtime/debug"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -78,7 +79,7 @@ func newSweepEnv(spec *soc.Spec, lib *model.Library, opt Options) (*sweepEnv, er
 	}
 	// The NoC supplies every candidate's islands run at: the spec's, or
 	// under AutoVoltage the lowest that meets each island's clock.
-	env.volts = make([]float64, nIsl, nIsl+1)
+	env.volts = make([]float64, nIsl)
 	for j, isl := range spec.Islands {
 		env.volts[j] = isl.VoltageV
 		if opt.AutoVoltage {
@@ -89,13 +90,12 @@ func newSweepEnv(spec *soc.Spec, lib *model.Library, opt Options) (*sweepEnv, er
 	if opt.AutoVoltage {
 		env.midV = lib.VoltageForFreq(env.midFreq)
 	}
-	islFreqs := freqs
+	domFreqs, domVolts := freqs, env.volts
 	if env.maxMid > 0 {
-		islFreqs = append(freqs[:nIsl:nIsl], env.midFreq)
-		env.volts = append(env.volts, env.midV)
+		domFreqs = append(slices.Clip(freqs), env.midFreq)
+		domVolts = append(slices.Clip(env.volts), env.midV)
 	}
-	env.costs = route.NewIslandCosts(lib, islFreqs, env.volts, opt.Router)
-	env.volts = env.volts[:nIsl]
+	env.costs = route.NewIslandCosts(lib, domFreqs, domVolts, opt.Router)
 	vcgs, err := vcg.BuildAll(spec, opt.alpha())
 	if err != nil {
 		return nil, err
