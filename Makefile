@@ -6,17 +6,18 @@
 # run so a broken benchmark cannot sit unnoticed until the next perf
 # pass, a power-state fault-campaign smoke run on the paper's D26
 # case study, a survivability smoke run (k=1 synthesis must absorb
-# every single-link fault with zero re-routing), and a result-cache
+# every single-link fault with zero re-routing), a result-cache
 # smoke run (second synthesis of an unchanged spec must be a full hit,
-# and warm-started re-synthesis must stay bit-identical to cold), and
-# the benchmark module's own vet and tests (perfbench/ is a separate Go
+# and warm-started re-synthesis must stay bit-identical to cold), a
+# branch-and-bound smoke run, a 10-second fuzz run over cache blobs,
+# and the benchmark module's own vet and tests (perfbench/ is a separate Go
 # module that imports the internal packages, so `go test ./...` at the
 # root never compiles it).
 GO ?= go
 
-.PHONY: ci vet fmt lint surface build test race bench bench-analysis bench-smoke bench-all campaign-smoke survive-smoke cache-smoke prune-smoke perfbench-test
+.PHONY: ci vet fmt lint surface build test race bench bench-analysis bench-smoke bench-all campaign-smoke survive-smoke cache-smoke prune-smoke fuzz-smoke perfbench-test
 
-ci: vet fmt lint surface build race bench-smoke campaign-smoke survive-smoke cache-smoke prune-smoke perfbench-test
+ci: vet fmt lint surface build race bench-smoke campaign-smoke survive-smoke cache-smoke prune-smoke fuzz-smoke perfbench-test
 
 vet:
 	$(GO) vet ./...
@@ -162,6 +163,14 @@ cache-smoke:
 prune-smoke:
 	$(GO) test -run 'TestSynthesizeOracleIdentity|TestBoundsAdmissibility' ./internal/core/
 	$(GO) test -bench=SynthesizePrune -benchtime=3x -run='^$$' . | $(GO) run ./tools/bench2json -o '' -prune-floor 1.3
+
+# fuzz-smoke runs the native fuzz target over cache blobs, the cache's
+# untrusted input, for a short budget: decoding arbitrary bytes must
+# never panic, and a blob that decodes must re-encode to itself. Inputs
+# it fails on are written under internal/cache/testdata/fuzz and replay
+# as ordinary test cases from then on.
+fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeResult$$' -fuzztime 10s ./internal/cache
 
 # perfbench-test vets and tests the benchmark module (perfbench/, see
 # BENCHMARK.json): it breaks when an engine change no longer compiles

@@ -103,12 +103,16 @@ func (d *dec) fail() {
 	}
 }
 
+// The readers accept only the encoder's canonical forms — minimal
+// varints, bools as 0 or 1 — so a blob that decodes re-encodes to
+// itself and no two blobs decode to one result.
+
 func (d *dec) u64() uint64 {
 	if d.err != nil {
 		return 0
 	}
 	v, n := binary.Uvarint(d.b)
-	if n <= 0 {
+	if n <= 0 || n > 1 && d.b[n-1] == 0 { // overlong: a trailing zero group
 		d.fail()
 		return 0
 	}
@@ -121,7 +125,7 @@ func (d *dec) i64() int64 {
 		return 0
 	}
 	v, n := binary.Varint(d.b)
-	if n <= 0 {
+	if n <= 0 || n > 1 && d.b[n-1] == 0 { // overlong: a trailing zero group
 		d.fail()
 		return 0
 	}
@@ -153,8 +157,12 @@ func (d *dec) bool() bool {
 		return false
 	}
 	v := d.b[0]
+	if v > 1 {
+		d.fail()
+		return false
+	}
 	d.b = d.b[1:]
-	return v != 0
+	return v == 1
 }
 
 // length reads a collection length and sanity-bounds it against the
@@ -172,6 +180,18 @@ func (d *dec) length() int {
 	return int(n)
 }
 
+// header reads a slice's nil flag and length. A nil slice is encoded
+// with length 0, so any other length is corrupt. ok is false for a nil
+// slice and after any error.
+func (d *dec) header() (n int, ok bool) {
+	notNil := d.bool()
+	n = d.length()
+	if !notNil && n != 0 {
+		d.fail()
+	}
+	return n, notNil && d.err == nil
+}
+
 func (d *dec) str() string {
 	n := d.length()
 	if d.err != nil {
@@ -183,9 +203,8 @@ func (d *dec) str() string {
 }
 
 func (d *dec) ints() []int {
-	notNil := d.bool()
-	n := d.length()
-	if d.err != nil || !notNil {
+	n, ok := d.header()
+	if !ok {
 		return nil
 	}
 	out := make([]int, n)
@@ -196,9 +215,8 @@ func (d *dec) ints() []int {
 }
 
 func (d *dec) f64s() []float64 {
-	notNil := d.bool()
-	n := d.length()
-	if d.err != nil || !notNil {
+	n, ok := d.header()
+	if !ok {
 		return nil
 	}
 	out := make([]float64, n)
@@ -209,9 +227,8 @@ func (d *dec) f64s() []float64 {
 }
 
 func (d *dec) strs() []string {
-	notNil := d.bool()
-	n := d.length()
-	if d.err != nil || !notNil {
+	n, ok := d.header()
+	if !ok {
 		return nil
 	}
 	out := make([]string, n)
@@ -292,9 +309,8 @@ func encodeCandidateErrors(e *enc, errs []core.CandidateError) {
 }
 
 func decodeCandidateErrors(d *dec) []core.CandidateError {
-	notNil := d.bool()
-	n := d.length()
-	if d.err != nil || !notNil {
+	n, ok := d.header()
+	if !ok {
 		return nil
 	}
 	out := make([]core.CandidateError, n)
@@ -453,7 +469,20 @@ func decodeTopology(d *dec, spec *soc.Spec, lib *model.Library) (*topology.Topol
 	// reserve more than the blob could describe): a hit replays dozens
 	// of topologies, and growing every slice by appends dominated it.
 	// An empty slice stays nil, as the engine leaves it.
+	//
+	// The switch count is also capped by the spec: the first link lays
+	// out a dense n×n link index, so a corrupt count of a few thousand
+	// switches, costing a few bytes each, would otherwise demand
+	// gigabytes. The engine gives every direct switch at least one core
+	// and opens at most twice as many intermediate switches as the
+	// largest island has cores (the default range, doubled by the relax
+	// ladder), so 3×cores bounds every design it builds unless
+	// Options.MaxIntermediateSwitches asks for more; such a result
+	// decodes as corrupt, which the cache treats as a miss.
 	nSw := d.length()
+	if nSw > 3*len(spec.Cores) {
+		return nil, errCorrupt
+	}
 	top.Switches = reserve(top.Switches, nSw)
 	for i := 0; i < nSw && d.err == nil; i++ {
 		island := d.int()
@@ -475,7 +504,7 @@ func decodeTopology(d *dec, spec *soc.Spec, lib *model.Library) (*topology.Topol
 		if d.err != nil {
 			return nil, d.err
 		}
-		if sw >= nSw {
+		if sw < -1 || sw >= nSw { // -1 is the one encoding of "unattached"
 			return nil, errCorrupt
 		}
 		if sw >= 0 {
@@ -564,9 +593,8 @@ func decodeTopology(d *dec, spec *soc.Spec, lib *model.Library) (*topology.Topol
 		if err := top.AddRoute(topology.Route{Flow: flow, Switches: sws, Links: links}); err != nil {
 			return nil, fmt.Errorf("cache: %w", err)
 		}
-		backupsNotNil := d.bool()
-		nBackups := d.length()
-		if d.err != nil || (!backupsNotNil && nBackups > 0) {
+		nBackups, backupsNotNil := d.header()
+		if d.err != nil {
 			return nil, errCorrupt
 		}
 		if backupsNotNil && nBackups == 0 {
@@ -671,19 +699,19 @@ func decodePlacement(d *dec) *floorplan.Placement {
 	}
 	p := &floorplan.Placement{}
 	p.Die = decodeRect(d)
-	if notNil, nIsl := d.bool(), d.length(); notNil && d.err == nil {
+	if nIsl, ok := d.header(); ok {
 		p.IslandRects = make([]floorplan.Rect, 0, nIsl)
 		for i := 0; i < nIsl && d.err == nil; i++ {
 			p.IslandRects = append(p.IslandRects, decodeRect(d))
 		}
 	}
-	if notNil, nCores := d.bool(), d.length(); notNil && d.err == nil {
+	if nCores, ok := d.header(); ok {
 		p.CorePos = make([]floorplan.Point, 0, nCores)
 		for i := 0; i < nCores && d.err == nil; i++ {
 			p.CorePos = append(p.CorePos, floorplan.Point{X: d.f64(), Y: d.f64()})
 		}
 	}
-	if notNil, nSw := d.bool(), d.length(); notNil && d.err == nil {
+	if nSw, ok := d.header(); ok {
 		p.SwitchPos = make([]floorplan.Point, 0, nSw)
 		for i := 0; i < nSw && d.err == nil; i++ {
 			p.SwitchPos = append(p.SwitchPos, floorplan.Point{X: d.f64(), Y: d.f64()})

@@ -64,7 +64,18 @@ import (
 // prove every result unchanged; the bump re-records the engine surface.
 // Spec validation also now rejects infinite core areas and powers and
 // negative or infinite core frequencies, which v4 synthesized.
-const EngineVersion = 5
+//
+// v6: candidate evaluation allocates nothing per candidate after
+// warm-up: a pooled channel-dependency graph (graph.Directed.Reset),
+// placements and design points the sweep summarizes are refilled by the
+// next candidate, and the router builds island-pair subgraphs from
+// per-island switch lists. The golden result digests and the
+// frozen-router equivalence tests prove every result unchanged; the
+// bump re-records the engine surface. Options and Library validation
+// now reject NaN, infinite and negative values (and an Alpha above 1),
+// which v5 either synthesized or crashed on, and the result decoder
+// accepts only canonical blobs.
+const EngineVersion = 6
 
 // Entry classes: the subdirectory an artifact kind lives under. Keys
 // are only unique within a class.

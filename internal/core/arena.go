@@ -57,8 +57,11 @@ type sweepEnv struct {
 // Reset before every build and surrendered (bc.top = nil) the moment it
 // escapes into a DesignPoint, so published results never alias arena
 // storage; the router's Reset re-targets it at the fresh topology with
-// semantics identical to route.New; the floorplan scratch only ever
-// holds temporaries that die inside one Place call. Every candidate
+// semantics identical to route.New; the floorplan scratch holds
+// temporaries that die inside one Place call, plus a placement handed
+// back only by an owner that never published it (a candidate that
+// failed validation, or a point the sweep collectors summarized), which
+// the next Place refills from zero. Every candidate
 // therefore observes exactly the state a fresh allocation would give
 // it, which is what keeps the sweep bit-identical to the serial,
 // arena-free path.
@@ -70,6 +73,7 @@ type buildContext struct {
 	scratch graph.Scratch      // pinned to router, replaces pool traffic
 	fp      floorplan.Scratch
 	part    partition.Scratch // worker-owned min-cut buffers for first-touch partition-table entries
+	spare   *DesignPoint      // a summarized point handed back by collectors.add, refilled by the next build
 
 	// pruneIdx bounds the incumbent witnesses buildPoint's staged bound
 	// check accepts (strictly smaller candidate index), set before each
@@ -107,4 +111,15 @@ func (bc *buildContext) takeRouter(top *topology.Topology) *route.Router {
 		bc.router.Reset(top)
 	}
 	return bc.router
+}
+
+// reclaim hands a design point built by this arena back to it: the
+// next build resets its topology and refills its placement and the
+// point itself. Only a sink that never publishes dp may reclaim it, and
+// it must keep no reference into dp but dp.SwitchCounts, which no later
+// build writes.
+func (bc *buildContext) reclaim(dp *DesignPoint) {
+	bc.top = dp.Top
+	bc.fp.Recycle(dp.Placement)
+	bc.spare = dp
 }

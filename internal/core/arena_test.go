@@ -140,6 +140,29 @@ func TestArenaNoStateLeak(t *testing.T) {
 			t.Fatal("arena handed out the same topology twice")
 		}
 	}
+
+	// The same walk on an arena that gets every point back, as the
+	// sweep collectors hand back the points they summarize: each build
+	// then refills the previous candidate's point, topology and
+	// placement, whose shapes differ (A-B-...-A).
+	recycled := newBuildContext(env)
+	var prev *DesignPoint
+	for i, c := range picks {
+		fresh, err := buildPoint(newBuildContext(env), c.counts, pickParts[i], c.mid)
+		if err != nil {
+			t.Fatalf("pick %d (%v/%d): fresh build failed: %v", i, c.counts, c.mid, err)
+		}
+		reused, err := buildPoint(recycled, c.counts, pickParts[i], c.mid)
+		if err != nil {
+			t.Fatalf("pick %d (%v/%d): recycling build failed: %v", i, c.counts, c.mid, err)
+		}
+		if prev != nil && (reused != prev || reused.Top != prev.Top || reused.Placement != prev.Placement) {
+			t.Fatalf("pick %d: the arena did not refill the point it was handed back", i)
+		}
+		sameBuiltPoint(t, "recycled pick "+string(rune('0'+i)), fresh, reused)
+		recycled.reclaim(reused)
+		prev = reused
+	}
 }
 
 // TestMidSweepCancellationDrainsWorkers cancels sweeps at racy,

@@ -152,6 +152,31 @@ func (o Options) alpha() float64 {
 	return o.Alpha
 }
 
+// validate rejects option values that carry no meaning: a non-finite
+// or negative float, or an Alpha above 1. Zero stays every float
+// option's unset sentinel. Each error names its field.
+func (o Options) validate() error {
+	fields := [...]struct {
+		name string
+		v    float64
+	}{
+		{"Alpha", o.Alpha},
+		{"IntermediateVoltage", o.IntermediateVoltage},
+		{"Router.EstLinkLengthMM", o.Router.EstLinkLengthMM},
+		{"Router.LatencyWeightW", o.Router.LatencyWeightW},
+		{"Floorplan.WhitespaceFrac", o.Floorplan.WhitespaceFrac},
+	}
+	for _, f := range fields {
+		if math.IsNaN(f.v) || math.IsInf(f.v, 0) || f.v < 0 {
+			return fmt.Errorf("core: Options.%s %g must be finite and non-negative (0 selects the default)", f.name, f.v)
+		}
+	}
+	if o.Alpha > 1 {
+		return fmt.Errorf("core: Options.Alpha %g outside (0,1] (0 selects the default)", o.Alpha)
+	}
+	return nil
+}
+
 func (o Options) midVoltage() float64 {
 	if o.IntermediateVoltage <= 0 {
 		return 1.0
@@ -548,7 +573,8 @@ func IslandClocks(spec *soc.Spec, lib *model.Library) (freqs []float64, maxSizes
 // design inside the worker's arena. An error means the point is
 // infeasible. On success the built topology and placement are handed
 // off to the returned DesignPoint and the arena forgets them; on
-// failure they stay pooled for the next candidate.
+// failure they stay pooled for the next candidate. A sink that only
+// summarizes the point hands both back (see collectors.add).
 func buildPoint(bc *buildContext, counts []int, parts [][]int, mid int) (*DesignPoint, error) {
 	env := bc.env
 	opt := env.opt
@@ -632,10 +658,16 @@ func buildPoint(bc *buildContext, counts []int, parts [][]int, mid int) (*Design
 		return nil, err
 	}
 	if err := top.Validate(); err != nil {
+		bc.fp.Recycle(pl) // never escaped: the next candidate refills it
 		return nil, err
 	}
 
-	dp := &DesignPoint{
+	dp := bc.spare
+	bc.spare = nil
+	if dp == nil {
+		dp = new(DesignPoint)
+	}
+	*dp = DesignPoint{
 		Top:               top,
 		Placement:         pl,
 		SwitchCounts:      append([]int(nil), counts...),

@@ -1,9 +1,12 @@
 package core
 
 import (
+	"context"
 	"math"
+	"strings"
 	"testing"
 
+	"nocvi/internal/bench"
 	"nocvi/internal/model"
 	"nocvi/internal/soc"
 )
@@ -242,6 +245,59 @@ func TestSynthesizeValidatesInput(t *testing.T) {
 	lib.LinkWidthBits = 0
 	if _, err := Synthesize(miniSoC(), lib, Options{}); err == nil {
 		t.Fatal("invalid library accepted")
+	}
+}
+
+// TestMeaninglessOptionsRejected feeds non-finite and out-of-range
+// option and library values to both sweep entry points: each must end
+// in an error naming the field, never in a panic or in design points
+// computed from a NaN. NaN Alpha used to crash partitioning outside the
+// candidate panic boundary.
+func TestMeaninglessOptionsRejected(t *testing.T) {
+	spec := bench.D26()
+	nan, inf := math.NaN(), math.Inf(1)
+	cases := []struct {
+		field string
+		opt   func(*Options)
+		lib   func(*model.Library)
+	}{
+		{field: "Alpha", opt: func(o *Options) { o.Alpha = nan }},
+		{field: "Alpha", opt: func(o *Options) { o.Alpha = inf }},
+		{field: "Alpha", opt: func(o *Options) { o.Alpha = -0.5 }},
+		{field: "Alpha", opt: func(o *Options) { o.Alpha = 1.5 }},
+		{field: "IntermediateVoltage", opt: func(o *Options) { o.IntermediateVoltage = nan }},
+		{field: "IntermediateVoltage", opt: func(o *Options) { o.IntermediateVoltage = -1 }},
+		{field: "Router.EstLinkLengthMM", opt: func(o *Options) { o.Router.EstLinkLengthMM = nan }},
+		{field: "Router.EstLinkLengthMM", opt: func(o *Options) { o.Router.EstLinkLengthMM = -inf }},
+		{field: "Router.LatencyWeightW", opt: func(o *Options) { o.Router.LatencyWeightW = inf }},
+		{field: "Floorplan.WhitespaceFrac", opt: func(o *Options) { o.Floorplan.WhitespaceFrac = nan }},
+		{field: "NominalVoltage", lib: func(l *model.Library) { l.NominalVoltage = nan }},
+		{field: "LinkEnergyPerBitMM", lib: func(l *model.Library) { l.LinkEnergyPerBitMM = inf }},
+		{field: "SwitchLeakPerPort", lib: func(l *model.Library) { l.SwitchLeakPerPort = -1 }},
+	}
+	for _, c := range cases {
+		opt := Options{AllowIntermediate: true}
+		lib := model.Default65nm()
+		if c.opt != nil {
+			c.opt(&opt)
+		}
+		if c.lib != nil {
+			c.lib(lib)
+		}
+		res, err := Synthesize(spec, lib, opt)
+		if err == nil || !strings.Contains(err.Error(), c.field) {
+			t.Errorf("Synthesize with a bad %s: err %v (result %v), want an error naming the field", c.field, err, res != nil)
+		}
+		sres, err := SynthesizeSweep(context.Background(), spec, lib, opt, SweepOptions{WidthPerIsland: 1})
+		if err == nil || !strings.Contains(err.Error(), c.field) {
+			t.Errorf("SynthesizeSweep with a bad %s: err %v (result %v), want an error naming the field", c.field, err, sres != nil)
+		}
+	}
+	// The bounds themselves stay valid: Alpha 1 and the zero sentinels.
+	for _, opt := range []Options{{Alpha: 1}, {}} {
+		if _, err := Synthesize(spec, model.Default65nm(), opt); err != nil {
+			t.Errorf("Synthesize with %+v: %v", opt, err)
+		}
 	}
 }
 

@@ -25,17 +25,21 @@ import (
 // two sinks: Synthesize's ordered keep-all fold and SynthesizeSweep's
 // bounded per-worker collectors.
 
-// newSweepEnv is the setup both sweeps share: input validation,
-// survivability normalization, step 1 (island clocks and max switch
-// sizes), step 2 (minimum switch counts), the intermediate-switch
-// range, the partition table over the island VCGs, the bounds
-// environment (unless Options.NoPrune) and the sorted flow list.
+// newSweepEnv is the setup both sweeps share: input validation (spec,
+// library and options), survivability normalization, step 1 (island
+// clocks and max switch sizes), step 2 (minimum switch counts), the
+// intermediate-switch range, the partition table over the island VCGs,
+// the bounds environment (unless Options.NoPrune) and the sorted flow
+// list.
 func newSweepEnv(spec *soc.Spec, lib *model.Library, opt Options) (*sweepEnv, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}
 	if err := lib.Validate(); err != nil {
 		return nil, fmt.Errorf("core: %w", err)
+	}
+	if err := opt.validate(); err != nil {
+		return nil, err
 	}
 	// The core survivability knob is canonical: a caller-set
 	// Router.Survivability is overwritten, and every worker's router

@@ -223,15 +223,18 @@ const frontBuffer = 512
 
 func (sc *sweepCollector) addFeasible(p SweepPoint) {
 	sc.feasible++
-	if sc.bestPower == nil || sweepBetter(&p, sc.bestPower, powerOf) {
-		cp := p
+	// Compare through the front's copy: taking p's own address would
+	// move every point to the heap (sweepBetter's metric call leaks it).
+	sc.front = append(sc.front, p)
+	q := &sc.front[len(sc.front)-1]
+	if sc.bestPower == nil || sweepBetter(q, sc.bestPower, powerOf) {
+		cp := *q
 		sc.bestPower = &cp
 	}
-	if sc.bestLatency == nil || sweepBetter(&p, sc.bestLatency, latencyOf) {
-		cp := p
+	if sc.bestLatency == nil || sweepBetter(q, sc.bestLatency, latencyOf) {
+		cp := *q
 		sc.bestLatency = &cp
 	}
-	sc.front = append(sc.front, p)
 	if len(sc.front) >= frontBuffer {
 		sc.front = pruneFront(sc.front)
 	}
@@ -276,9 +279,10 @@ func (c collectors) add(w int, bc *buildContext, idx uint64, out evalOutcome) {
 			AreaMM2:        dp.NoCAreaMM2,
 			WireViolations: dp.WireViolations,
 		})
-		// Reclaim: the point was summarized, not published, so the sweep
-		// allocates no topology per point after warm-up.
-		bc.top = dp.Top
+		// The point was summarized, not published: hand it back, so the
+		// sweep allocates no point, topology or placement per candidate
+		// after warm-up (the summary keeps only dp.SwitchCounts).
+		bc.reclaim(dp)
 	}
 }
 

@@ -16,6 +16,7 @@ package deadlock
 
 import (
 	"fmt"
+	"sync"
 
 	"nocvi/internal/graph"
 	"nocvi/internal/topology"
@@ -48,11 +49,26 @@ func (r *Report) String() string {
 	return fmt.Sprintf("DEADLOCK RISK: cyclic channel dependency through links %v", r.Cycle)
 }
 
+// cdgPool recycles channel dependency graphs across analyses: the
+// synthesis sweep checks every routed candidate, and a pooled graph
+// keeps its per-link adjacency and DFS storage, so a warm check
+// allocates nothing.
+var cdgPool = sync.Pool{New: func() any { return new(graph.Directed) }}
+
 // Analyze builds the channel dependency graph from the topology's routes
 // and checks it for cycles.
 func Analyze(top *topology.Topology) *Report {
+	rep := analyze(top)
+	return &rep
+}
+
+// analyze is Analyze returning the report by value, so Check's
+// deadlock-free path allocates nothing.
+func analyze(top *topology.Topology) Report {
 	n := len(top.Links)
-	cdg := graph.NewDirected(n)
+	cdg := cdgPool.Get().(*graph.Directed)
+	defer cdgPool.Put(cdg)
+	cdg.Reset(n)
 	for ri := range top.Routes {
 		r := &top.Routes[ri]
 		for i := 1; i < len(r.Links); i++ {
@@ -61,7 +77,7 @@ func Analyze(top *topology.Topology) *Report {
 			cdg.AddEdge(int(r.Links[i-1]), int(r.Links[i]), 1)
 		}
 	}
-	rep := &Report{Channels: n, Dependencies: cdg.M()}
+	rep := Report{Channels: n, Dependencies: cdg.M()}
 	if has, cyc := cdg.HasCycle(); has {
 		rep.Cycle = make([]topology.LinkID, len(cyc))
 		for i, v := range cyc {
@@ -73,9 +89,9 @@ func Analyze(top *topology.Topology) *Report {
 
 // Check returns an error when the topology's routes can deadlock.
 func Check(top *topology.Topology) error {
-	rep := Analyze(top)
+	rep := analyze(top)
 	if !rep.Free() {
-		return fmt.Errorf("deadlock: %s", rep)
+		return fmt.Errorf("deadlock: %s", rep.String())
 	}
 	return nil
 }

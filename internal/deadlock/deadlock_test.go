@@ -1,12 +1,14 @@
 package deadlock_test
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
 	"nocvi/internal/bench"
 	"nocvi/internal/core"
 	"nocvi/internal/deadlock"
+	"nocvi/internal/graph"
 	"nocvi/internal/model"
 	"nocvi/internal/soc"
 	"nocvi/internal/topology"
@@ -178,5 +180,106 @@ func TestPerCoreIslandsDeadlockFree(t *testing.T) {
 		if err := deadlock.Check(res.Points[i].Top); err != nil {
 			t.Fatalf("point %d: %v", i, err)
 		}
+	}
+}
+
+// freshReport is the reference analysis: a CDG built in a new graph
+// per call, the construction the pooled Analyze replaced.
+func freshReport(top *topology.Topology) *deadlock.Report {
+	cdg := graph.NewDirected(len(top.Links))
+	for _, r := range top.Routes {
+		for i := 1; i < len(r.Links); i++ {
+			cdg.AddEdge(int(r.Links[i-1]), int(r.Links[i]), 1)
+		}
+	}
+	rep := &deadlock.Report{Channels: len(top.Links), Dependencies: cdg.M()}
+	if has, cyc := cdg.HasCycle(); has {
+		for _, v := range cyc {
+			rep.Cycle = append(rep.Cycle, topology.LinkID(v))
+		}
+	}
+	return rep
+}
+
+// suiteTopologies returns routed topologies of different sizes: every
+// design point of two suite syntheses plus the cyclic ring.
+func suiteTopologies(t *testing.T) []*topology.Topology {
+	t.Helper()
+	lib := model.Default65nm()
+	var tops []*topology.Topology
+	for _, name := range []string{"d26_media", "d38_settop"} {
+		spec, err := bench.Islanded(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := core.Synthesize(spec, lib, core.Options{AllowIntermediate: true})
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		for i := range res.Points {
+			tops = append(tops, res.Points[i].Top)
+		}
+	}
+	return append(tops, ringTopology(t))
+}
+
+// TestPooledAnalyzeMatchesFresh checks that the pooled dependency graph
+// carries nothing from one analysis into the next: every report, the
+// cycle witness included, equals a fresh graph's, analyzing topologies
+// with different link counts back to back and in both directions
+// (A-B-A), so each graph is reused at a smaller and a larger size.
+func TestPooledAnalyzeMatchesFresh(t *testing.T) {
+	tops := suiteTopologies(t)
+	order := make([]*topology.Topology, 0, 3*len(tops))
+	order = append(order, tops...)
+	for i := len(tops) - 1; i >= 0; i-- {
+		order = append(order, tops[i])
+	}
+	order = append(order, tops...)
+	links := map[int]bool{}
+	cyclic := 0
+	for i, top := range order {
+		links[len(top.Links)] = true
+		want := freshReport(top)
+		got := deadlock.Analyze(top)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("analysis %d (%d links): pooled report %+v, fresh %+v", i, len(top.Links), got, want)
+		}
+		if !got.Free() {
+			cyclic++
+		}
+		if err := deadlock.Check(top); (err == nil) != want.Free() {
+			t.Fatalf("analysis %d: Check = %v, fresh report free = %v", i, err, want.Free())
+		}
+	}
+	if len(links) < 3 || cyclic != 3 {
+		t.Fatalf("fixture too weak: %d distinct link counts, %d cyclic analyses", len(links), cyclic)
+	}
+}
+
+// TestCheckAllocationFree pins the pooled graph's purpose: once warm, a
+// deadlock check of a deadlock-free design allocates nothing.
+func TestCheckAllocationFree(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops pooled graphs at random under -race")
+	}
+	spec, err := bench.Islanded("d26_media")
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := core.Synthesize(spec, model.Default65nm(), core.Options{AllowIntermediate: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	top := res.Best().Top
+	if err := deadlock.Check(top); err != nil {
+		t.Fatal(err)
+	}
+	if allocs := testing.AllocsPerRun(100, func() {
+		if err := deadlock.Check(top); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Fatalf("warm deadlock.Check allocates %v times per call, want 0", allocs)
 	}
 }

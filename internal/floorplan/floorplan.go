@@ -75,10 +75,11 @@ type Placement struct {
 
 // Scratch holds the floorplanner's reusable working buffers: island
 // areas, the slicing order, the per-island core gather/sort buffer and
-// the centroid point accumulator. A zero Scratch is ready to use; one
-// Scratch must not be used by two goroutines concurrently. Sweeps that
-// floorplan many candidate topologies reuse one Scratch per worker so
-// each placement allocates only the Placement it returns.
+// the centroid point accumulator, plus at most one recycled Placement.
+// A zero Scratch is ready to use; one Scratch must not be used by two
+// goroutines concurrently. Sweeps that floorplan many candidate
+// topologies reuse one Scratch per worker, and recycle every placement
+// they do not publish, so a warm placement allocates nothing.
 type Scratch struct {
 	areas []float64
 	order []int
@@ -90,7 +91,18 @@ type Scratch struct {
 	// the shuttle buffer, leaving the caller's order untouched.
 	ids []int
 	tmp []int
+
+	// spare is a placement handed back by Recycle, refilled by the next
+	// PlaceWith instead of allocating a new one.
+	spare *Placement
 }
+
+// Recycle hands p back to the scratch: the next PlaceWith on sc returns
+// p, refilled, instead of a new Placement. The caller must own p
+// outright and drop every reference to it, its slices included; a
+// placement that was published (kept in a result, returned to a user)
+// must never be recycled.
+func (sc *Scratch) Recycle(p *Placement) { sc.spare = p }
 
 // Place floorplans the topology. Every core must be attached to a
 // switch.
@@ -99,7 +111,10 @@ func Place(top *topology.Topology, opt Options) (*Placement, error) {
 }
 
 // PlaceWith is Place drawing temporary buffers from sc, which may be
-// reused across calls. The returned Placement does not alias sc.
+// reused across calls. The returned Placement does not alias sc's
+// working buffers, but it is the placement last handed to sc.Recycle,
+// if any, refilled from zero: it stays valid until the caller recycles
+// it in turn.
 func PlaceWith(top *topology.Topology, opt Options, sc *Scratch) (*Placement, error) {
 	return placeWithOrder(top, opt, nil, sc)
 }
@@ -148,21 +163,27 @@ func placeWithOrder(top *topology.Topology, opt Options, order []int, sc *Scratc
 	} else if len(order) != nIsl {
 		return nil, fmt.Errorf("floorplan: order has %d entries for %d islands", len(order), nIsl)
 	}
-	rects := make([]Rect, nIsl)
+	p := sc.spare
+	sc.spare = nil
+	if p == nil {
+		p = new(Placement)
+	}
+	// Every slice starts zeroed, as freshly allocated ones would: the
+	// second switch pass reads SwitchPos before it writes it.
+	*p = Placement{
+		Die:          die,
+		IslandRects:  zeroed(p.IslandRects, nIsl),
+		CorePos:      zeroed(p.CorePos, len(spec.Cores)),
+		SwitchPos:    zeroed(p.SwitchPos, len(top.Switches)),
+		NILengthMM:   zeroed(p.NILengthMM, len(spec.Cores)),
+		LinkLengthMM: zeroed(p.LinkLengthMM, len(top.Links)),
+	}
+	rects := p.IslandRects
 	sc.ids = append(sc.ids[:0], order...)
 	if cap(sc.tmp) < nIsl {
 		sc.tmp = make([]int, nIsl)
 	}
 	sliceRegions(die, sc.ids, areas, rects, sc.tmp[:nIsl])
-
-	p := &Placement{
-		Die:          die,
-		IslandRects:  rects,
-		CorePos:      make([]Point, len(spec.Cores)),
-		SwitchPos:    make([]Point, len(top.Switches)),
-		NILengthMM:   make([]float64, len(spec.Cores)),
-		LinkLengthMM: make([]float64, len(top.Links)),
-	}
 
 	// Place cores per island, grouped by their switch so that a
 	// switch's clients sit in adjacent cells.
@@ -226,6 +247,18 @@ func placeWithOrder(top *topology.Topology, opt Options, order []int, sc *Scratc
 		}
 	}
 	return p, nil
+}
+
+// zeroed returns s resized to n with every element zero, reusing its
+// storage when large enough. It never returns nil, like make: the
+// result codec records whether a placement slice is nil.
+func zeroed[T any](s []T, n int) []T {
+	if s == nil || cap(s) < n {
+		return make([]T, n)
+	}
+	s = s[:n]
+	clear(s)
+	return s
 }
 
 // islandAreas computes the silicon demand of every island: core area

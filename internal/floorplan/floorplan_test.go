@@ -2,6 +2,7 @@ package floorplan
 
 import (
 	"math"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -338,5 +339,94 @@ func TestWeightedWireCostWeighsTraffic(t *testing.T) {
 	top.Links[0].TrafficBps *= 100
 	if WeightedWireCost(top, p) <= base {
 		t.Fatal("cost insensitive to traffic weight")
+	}
+}
+
+// twoMidTop is buildTop with a second intermediate switch behind the
+// first: the first mid switch then reads the second's position in the
+// first switch pass before that pass has written it.
+func twoMidTop(t *testing.T) *topology.Topology {
+	t.Helper()
+	top := buildTop(t)
+	mid := topology.SwitchID(3)
+	mid2 := top.AddSwitch(top.NoCIsland, true)
+	if _, err := top.AddLink(mid, mid2); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := top.AddLink(mid2, 0); err != nil {
+		t.Fatal(err)
+	}
+	return top
+}
+
+// TestRecycledPlacementMatchesFresh places topologies of different
+// shapes in turn (A-B-A-A) into one scratch that gets every placement
+// back: each refilled placement must equal a fresh Place exactly. Every
+// placement is poisoned with NaN before it goes back, up to its
+// capacity, so a refill that reads anything it has not written first
+// (the first switch pass reads SwitchPos) cannot match.
+func TestRecycledPlacementMatchesFresh(t *testing.T) {
+	a, b := twoMidTop(t), buildTop(t)
+	sc := &Scratch{}
+	var prev *Placement
+	for i, top := range []*topology.Topology{a, b, a, a} {
+		want, err := Place(top, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := PlaceWith(top, Options{}, sc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if prev != nil && got != prev {
+			t.Fatalf("placement %d: the recycled placement was not refilled", i)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("placement %d: recycled %+v, fresh %+v", i, got, want)
+		}
+		poison(got)
+		sc.Recycle(got)
+		prev = got
+	}
+}
+
+// poison overwrites every element a placement's slices can hold with
+// NaN.
+func poison(p *Placement) {
+	nan := math.NaN()
+	for i := range p.IslandRects[:cap(p.IslandRects)] {
+		p.IslandRects[:cap(p.IslandRects)][i] = Rect{nan, nan, nan, nan}
+	}
+	for _, pts := range [][]Point{p.CorePos, p.SwitchPos} {
+		for i := range pts[:cap(pts)] {
+			pts[:cap(pts)][i] = Point{nan, nan}
+		}
+	}
+	for _, ls := range [][]float64{p.NILengthMM, p.LinkLengthMM} {
+		for i := range ls[:cap(ls)] {
+			ls[:cap(ls)][i] = nan
+		}
+	}
+	p.Die = Rect{nan, nan, nan, nan}
+}
+
+// TestPlaceWithRecycledAllocationFree pins the recycling contract: a
+// warm scratch that gets its placement back places without allocating.
+func TestPlaceWithRecycledAllocationFree(t *testing.T) {
+	top := twoMidTop(t)
+	sc := &Scratch{}
+	p, err := PlaceWith(top, Options{}, sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc.Recycle(p)
+	if allocs := testing.AllocsPerRun(50, func() {
+		p, err := PlaceWith(top, Options{}, sc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sc.Recycle(p)
+	}); allocs != 0 {
+		t.Fatalf("PlaceWith with a recycled placement allocates %v times, want 0", allocs)
 	}
 }

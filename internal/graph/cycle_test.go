@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -124,5 +125,56 @@ func TestCycleAgreesWithTopo(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 400}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestResetMatchesNew rebuilds one graph at shrinking and growing sizes
+// (A-B-A) and checks each build against a fresh NewDirected with the
+// same edges: edge lists, counts, degrees and the HasCycle verdict and
+// witness must all agree, and a warm rebuild must not allocate.
+func TestResetMatchesNew(t *testing.T) {
+	builds := []struct {
+		n     int
+		edges [][2]int
+	}{
+		{6, [][2]int{{0, 1}, {1, 2}, {2, 3}, {3, 1}, {4, 5}, {0, 1}}},
+		{3, [][2]int{{0, 1}, {1, 2}}},
+		{9, [][2]int{{8, 0}, {0, 7}, {7, 8}, {2, 3}}},
+		{6, [][2]int{{0, 1}, {1, 2}, {2, 3}, {3, 1}, {4, 5}, {0, 1}}},
+	}
+	var g Directed
+	for i, b := range builds {
+		want := NewDirected(b.n)
+		g.Reset(b.n)
+		for _, e := range b.edges {
+			want.AddEdge(e[0], e[1], 1)
+			g.AddEdge(e[0], e[1], 1)
+		}
+		if g.N() != want.N() || g.M() != want.M() || !reflect.DeepEqual(g.Edges(), want.Edges()) {
+			t.Fatalf("build %d: reset graph %d/%d %v, fresh %d/%d %v",
+				i, g.N(), g.M(), g.Edges(), want.N(), want.M(), want.Edges())
+		}
+		for v := 0; v < b.n; v++ {
+			if g.InDegree(v) != want.InDegree(v) || g.OutDegree(v) != want.OutDegree(v) {
+				t.Fatalf("build %d: degrees of %d differ", i, v)
+			}
+		}
+		gotHas, gotCyc := g.HasCycle()
+		wantHas, wantCyc := want.HasCycle()
+		if gotHas != wantHas || !reflect.DeepEqual(gotCyc, wantCyc) {
+			t.Fatalf("build %d: HasCycle = %v %v, fresh %v %v", i, gotHas, gotCyc, wantHas, wantCyc)
+		}
+	}
+	acyclic := builds[1]
+	if allocs := testing.AllocsPerRun(50, func() {
+		g.Reset(acyclic.n)
+		for _, e := range acyclic.edges {
+			g.AddEdge(e[0], e[1], 1)
+		}
+		if has, _ := g.HasCycle(); has {
+			t.Fatal("acyclic build reported a cycle")
+		}
+	}); allocs != 0 {
+		t.Fatalf("warm Reset+AddEdge+HasCycle allocates %v times, want 0", allocs)
 	}
 }

@@ -28,6 +28,12 @@ type Directed struct {
 	adj [][]halfEdge // outgoing
 	in  [][]halfEdge // incoming
 	m   int
+
+	// HasCycle's DFS buffers, kept across calls and Resets so a reused
+	// graph checks for cycles without allocating.
+	color  []int8
+	parent []int
+	stack  []dfsFrame
 }
 
 type halfEdge struct {
@@ -41,6 +47,29 @@ func NewDirected(n int) *Directed {
 		panic("graph: negative vertex count")
 	}
 	return &Directed{n: n, adj: make([][]halfEdge, n), in: make([][]halfEdge, n)}
+}
+
+// Reset empties the graph and resizes it to n vertices, keeping every
+// vertex's adjacency storage (and HasCycle's buffers) for reuse: a graph
+// rebuilt after Reset allocates only where it outgrows what an earlier
+// build left. After Reset the graph behaves exactly like NewDirected(n).
+// A zero Directed may be Reset.
+func (g *Directed) Reset(n int) {
+	if n < 0 {
+		panic("graph: negative vertex count")
+	}
+	if cap(g.adj) < n {
+		// Carry the old vertices' storage over, including what lies
+		// beyond len from an earlier, larger build.
+		g.adj = append(make([][]halfEdge, 0, n), g.adj[:cap(g.adj)]...)
+		g.in = append(make([][]halfEdge, 0, n), g.in[:cap(g.in)]...)
+	}
+	g.adj, g.in = g.adj[:n], g.in[:n]
+	for u := range g.adj {
+		g.adj[u] = g.adj[u][:0]
+		g.in[u] = g.in[u][:0]
+	}
+	g.n, g.m = n, 0
 }
 
 // N returns the number of vertices.
@@ -628,30 +657,37 @@ func (g *Directed) InducedSubgraph(keep []bool) (*Directed, []int) {
 	return sub, toOld
 }
 
+// dfsFrame is one level of HasCycle's iterative DFS: a vertex and the
+// index of its next outgoing edge to explore.
+type dfsFrame struct {
+	v   int
+	idx int
+}
+
 // HasCycle reports whether the directed graph contains a cycle, using
 // iterative three-color DFS. It also returns one witness cycle (a vertex
-// sequence v0, v1, ..., v0) when found, nil otherwise.
+// sequence v0, v1, ..., v0) when found, nil otherwise. The DFS buffers
+// live on the graph, so HasCycle allocates only the witness once they
+// have grown; it must not run concurrently on one graph.
 func (g *Directed) HasCycle() (bool, []int) {
 	const (
 		white = 0
 		gray  = 1
 		black = 2
 	)
-	color := make([]int8, g.n)
-	parent := make([]int, g.n)
+	g.color = grow(g.color, g.n)
+	g.parent = grow(g.parent, g.n)
+	color, parent := g.color, g.parent
+	clear(color)
 	for i := range parent {
 		parent[i] = -1
 	}
-	type frame struct {
-		v   int
-		idx int
-	}
-	var stack []frame // one DFS stack, reused from every root
+	stack := g.stack[:0] // one DFS stack, reused from every root
 	for s := 0; s < g.n; s++ {
 		if color[s] != white {
 			continue
 		}
-		stack = append(stack[:0], frame{v: s})
+		stack = append(stack[:0], dfsFrame{v: s})
 		color[s] = gray
 		for len(stack) > 0 {
 			f := &stack[len(stack)-1]
@@ -662,7 +698,7 @@ func (g *Directed) HasCycle() (bool, []int) {
 				case white:
 					color[u] = gray
 					parent[u] = f.v
-					stack = append(stack, frame{v: u})
+					stack = append(stack, dfsFrame{v: u})
 				case gray:
 					// Found a back edge f.v -> u where u is an ancestor of
 					// f.v: the cycle is u -> ... -> f.v -> u. The parent
@@ -676,6 +712,7 @@ func (g *Directed) HasCycle() (bool, []int) {
 						cycle[i], cycle[j] = cycle[j], cycle[i]
 					}
 					cycle = append(cycle, u)
+					g.stack = stack
 					return true, cycle
 				}
 			} else {
@@ -684,7 +721,17 @@ func (g *Directed) HasCycle() (bool, []int) {
 			}
 		}
 	}
+	g.stack = stack
 	return false, nil
+}
+
+// grow returns s resized to n, reusing its storage when large enough.
+// The contents are unspecified.
+func grow[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
 }
 
 // TopoSort returns a topological order of the vertices, or an error

@@ -126,19 +126,47 @@ func Default65nm() *Library {
 	}
 }
 
-// Validate sanity checks the coefficients.
+// Validate sanity checks the coefficients: every one must be finite
+// and non-negative, and the link width, nominal voltage, frequency grid
+// and MaxFreqA must be positive. Each error names its field.
 func (l *Library) Validate() error {
-	switch {
-	case l.LinkWidthBits <= 0:
-		return fmt.Errorf("model: link width %d must be positive", l.LinkWidthBits)
-	case l.NominalVoltage <= 0:
-		return fmt.Errorf("model: nominal voltage must be positive")
-	case l.FreqGridHz <= 0:
-		return fmt.Errorf("model: frequency grid must be positive")
-	case l.MaxFreqA <= 0 || l.MaxFreqB < 0:
-		return fmt.Errorf("model: bad max-frequency coefficients")
-	case l.SwitchEnergyBase < 0 || l.SwitchEnergyPerPort < 0:
-		return fmt.Errorf("model: negative switch energy")
+	if l.LinkWidthBits <= 0 {
+		return fmt.Errorf("model: LinkWidthBits %d must be positive", l.LinkWidthBits)
+	}
+	coeffs := [...]struct {
+		name     string
+		v        float64
+		positive bool
+	}{
+		{"NominalVoltage", l.NominalVoltage, true},
+		{"FreqGridHz", l.FreqGridHz, true},
+		{"MaxFreqA", l.MaxFreqA, true},
+		{"MaxFreqB", l.MaxFreqB, false},
+		{"SwitchEnergyBase", l.SwitchEnergyBase, false},
+		{"SwitchEnergyPerPort", l.SwitchEnergyPerPort, false},
+		{"SwitchIdlePerPortHz", l.SwitchIdlePerPortHz, false},
+		{"SwitchLeakPerPort", l.SwitchLeakPerPort, false},
+		{"SwitchAreaBase", l.SwitchAreaBase, false},
+		{"SwitchAreaPerPort2", l.SwitchAreaPerPort2, false},
+		{"LinkEnergyPerBitMM", l.LinkEnergyPerBitMM, false},
+		{"LinkLeakPerMMPerBit", l.LinkLeakPerMMPerBit, false},
+		{"WireDelayNsPerMM", l.WireDelayNsPerMM, false},
+		{"NIEnergyPerBit", l.NIEnergyPerBit, false},
+		{"NILeak", l.NILeak, false},
+		{"NIAreaMM2", l.NIAreaMM2, false},
+		{"FIFOEnergyPerBit", l.FIFOEnergyPerBit, false},
+		{"FIFOLeak", l.FIFOLeak, false},
+		{"FIFOAreaMM2", l.FIFOAreaMM2, false},
+	}
+	for _, c := range coeffs {
+		switch {
+		case math.IsNaN(c.v) || math.IsInf(c.v, 0):
+			return fmt.Errorf("model: %s %g must be finite", c.name, c.v)
+		case c.positive && c.v <= 0:
+			return fmt.Errorf("model: %s %g must be positive", c.name, c.v)
+		case c.v < 0:
+			return fmt.Errorf("model: %s %g must not be negative", c.name, c.v)
+		}
 	}
 	return nil
 }

@@ -2,6 +2,7 @@ package model
 
 import (
 	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -13,18 +14,28 @@ func TestDefaultValid(t *testing.T) {
 }
 
 func TestValidateRejects(t *testing.T) {
-	mut := []func(*Library){
-		func(l *Library) { l.LinkWidthBits = 0 },
-		func(l *Library) { l.NominalVoltage = 0 },
-		func(l *Library) { l.FreqGridHz = -1 },
-		func(l *Library) { l.MaxFreqA = 0 },
-		func(l *Library) { l.SwitchEnergyBase = -1 },
+	nan, inf := math.NaN(), math.Inf(1)
+	mut := []struct {
+		field string
+		m     func(*Library)
+	}{
+		{"LinkWidthBits", func(l *Library) { l.LinkWidthBits = 0 }},
+		{"NominalVoltage", func(l *Library) { l.NominalVoltage = 0 }},
+		{"FreqGridHz", func(l *Library) { l.FreqGridHz = -1 }},
+		{"MaxFreqA", func(l *Library) { l.MaxFreqA = 0 }},
+		{"SwitchEnergyBase", func(l *Library) { l.SwitchEnergyBase = -1 }},
+		{"NominalVoltage", func(l *Library) { l.NominalVoltage = nan }},
+		{"MaxFreqB", func(l *Library) { l.MaxFreqB = nan }},
+		{"FreqGridHz", func(l *Library) { l.FreqGridHz = inf }},
+		{"SwitchIdlePerPortHz", func(l *Library) { l.SwitchIdlePerPortHz = -inf }},
+		{"WireDelayNsPerMM", func(l *Library) { l.WireDelayNsPerMM = nan }},
+		{"FIFOLeak", func(l *Library) { l.FIFOLeak = -1 }},
 	}
 	for i, m := range mut {
 		l := Default65nm()
-		m(l)
-		if err := l.Validate(); err == nil {
-			t.Fatalf("mutation %d not rejected", i)
+		m.m(l)
+		if err := l.Validate(); err == nil || !strings.Contains(err.Error(), m.field) {
+			t.Fatalf("mutation %d (%s): err %v, want an error naming the field", i, m.field, err)
 		}
 	}
 }

@@ -105,10 +105,20 @@ type Router struct {
 	subs []*subgraph
 
 	// free recycles subgraphs across Reset cycles: a reused Router keeps
-	// the vertex/rank/local buffers of the previous candidate's
-	// subgraphs and refills them instead of allocating. Populated only
-	// by Reset, consumed by subgraphFor.
+	// the vertex/rank buffers of the previous candidate's subgraphs and
+	// refills them instead of allocating. Populated only by Reset,
+	// consumed by subgraphFor.
 	free []*subgraph
+
+	// islBuf holds every switch ID bucketed by island, each island's
+	// IDs ascending, with island i's list at islBuf[islOff[i]:
+	// islOff[i+1]] (islandSwitches; intermediate island included). It
+	// is laid out at the first subgraph after New or Reset; an empty
+	// islOff marks it stale. A subgraph is the merge of at most three
+	// of these lists, so building one costs its own size rather than
+	// the topology's switch count.
+	islOff []int32
+	islBuf []topology.SwitchID
 
 	// scratch is the pooled Dijkstra state, reused across the Router's
 	// flows and (through scratchPool) across candidates on a worker.
@@ -165,7 +175,8 @@ type query struct {
 // between one island pair may touch. verts maps local vertex indices to
 // switch IDs in ascending order — so local adjacency order equals the
 // global ascending order the complete-graph router used, keeping
-// equal-cost tie-breaks identical — and local is the inverse map.
+// equal-cost tie-breaks identical — and a binary search over it is the
+// inverse map (localOf).
 //
 // The island discipline (S→S, S→M, S→D, M→M, M→D, D→D) is a total
 // preorder on the admissible islands, so the candidate arcs are never
@@ -176,7 +187,24 @@ type query struct {
 type subgraph struct {
 	verts []topology.SwitchID
 	rank  []int8
-	local []int32
+}
+
+// localOf returns the local vertex index of switch sw, or -1 when sw is
+// outside the subgraph.
+func (s *subgraph) localOf(sw topology.SwitchID) int {
+	lo, hi := 0, len(s.verts)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if s.verts[m] < sw {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	if lo < len(s.verts) && s.verts[lo] == sw {
+		return lo
+	}
+	return -1
 }
 
 // pairCost holds the terms of an edge's cost that depend only on the
@@ -317,6 +345,7 @@ func (r *Router) Reset(top *topology.Topology) {
 		r.subs = make([]*subgraph, n*n)
 	}
 	r.subs = r.subs[:n*n]
+	r.islOff = r.islOff[:0]
 	r.costs = nil
 }
 
@@ -362,47 +391,86 @@ func (r *Router) subgraphFor(srcIsl, dstIsl soc.IslandID) *subgraph {
 	if s := r.subs[slot]; s != nil {
 		return s
 	}
-	top := r.top
-	mid := top.NoCIsland
-	n := len(top.Switches)
+	if len(r.islOff) == 0 {
+		r.bucketSwitches()
+	}
 	var s *subgraph
 	if k := len(r.free); k > 0 {
 		s = r.free[k-1]
 		r.free = r.free[:k-1]
-		s.verts = s.verts[:0]
-		s.rank = s.rank[:0]
-		if cap(s.local) < n {
-			s.local = make([]int32, n)
-		}
-		s.local = s.local[:n]
 	} else {
-		s = &subgraph{local: make([]int32, n)}
+		s = new(subgraph)
 	}
-	for i := range s.local {
-		s.local[i] = -1
+	// Merge the ascending switch lists of the source, intermediate and
+	// destination islands (the destination's only when it differs), so
+	// verts comes out ascending. Ranks encode the island discipline:
+	// 0 source, 1 intermediate, 2 destination, and all 0 when source ==
+	// destination, where every admissible move is legal.
+	rd, rm := int8(2), int8(1)
+	ls := r.islandSwitches(srcIsl)
+	var lm, ld []topology.SwitchID
+	if dstIsl != srcIsl {
+		ld = r.islandSwitches(dstIsl)
+	} else {
+		rd, rm = 0, 0
 	}
-	for i := 0; i < n; i++ {
-		isl := top.Switches[i].Island
-		if isl != srcIsl && isl != dstIsl && (mid == soc.NoIsland || isl != mid) {
-			continue
-		}
-		var rk int8
+	if mid := r.top.NoCIsland; mid != soc.NoIsland {
+		lm = r.islandSwitches(mid)
+	}
+	// Recycled subgraphs serve other island pairs after a Reset, so a
+	// buffer that must grow is sized for every switch and never grows
+	// again for this topology size.
+	if n := len(ls) + len(lm) + len(ld); cap(s.verts) < n || cap(s.rank) < n {
+		s.verts = make([]topology.SwitchID, 0, len(r.top.Switches))
+		s.rank = make([]int8, 0, len(r.top.Switches))
+	}
+	s.verts, s.rank = s.verts[:0], s.rank[:0]
+	for len(ls)+len(lm)+len(ld) > 0 {
 		switch {
-		case srcIsl == dstIsl:
-			rk = 0 // S == D: every admissible move is legal
-		case isl == srcIsl:
-			rk = 0
-		case isl == dstIsl:
-			rk = 2
+		case len(ls) > 0 && (len(lm) == 0 || ls[0] < lm[0]) && (len(ld) == 0 || ls[0] < ld[0]):
+			s.verts, s.rank = append(s.verts, ls[0]), append(s.rank, 0)
+			ls = ls[1:]
+		case len(lm) > 0 && (len(ld) == 0 || lm[0] < ld[0]):
+			s.verts, s.rank = append(s.verts, lm[0]), append(s.rank, rm)
+			lm = lm[1:]
 		default:
-			rk = 1 // intermediate island
+			s.verts, s.rank = append(s.verts, ld[0]), append(s.rank, rd)
+			ld = ld[1:]
 		}
-		s.local[i] = int32(len(s.verts))
-		s.verts = append(s.verts, topology.SwitchID(i))
-		s.rank = append(s.rank, rk)
 	}
 	r.subs[slot] = s
 	return s
+}
+
+// bucketSwitches lays out the per-island switch lists: a counting
+// sort of the switch IDs by island into islBuf, with island i's list at
+// islBuf[islOff[i]:islOff[i+1]]. Filling in switch ID order leaves
+// every list ascending.
+func (r *Router) bucketSwitches() {
+	top := r.top
+	n := top.NumIslands()
+	r.islBuf = grow(r.islBuf, len(top.Switches))
+	off := grow(r.islOff, n+2)
+	clear(off)
+	for i := range top.Switches {
+		off[top.Switches[i].Island+2]++
+	}
+	for i := 2; i < len(off); i++ {
+		off[i] += off[i-1]
+	}
+	// off[isl+1] now holds island isl's start; filling advances it to
+	// the island's end, which is island isl+1's start.
+	for i := range top.Switches {
+		isl := top.Switches[i].Island
+		r.islBuf[off[isl+1]] = topology.SwitchID(i)
+		off[isl+1]++
+	}
+	r.islOff = off[:n+1]
+}
+
+// islandSwitches returns island isl's switch IDs in ascending order.
+func (r *Router) islandSwitches(isl soc.IslandID) []topology.SwitchID {
+	return r.islBuf[r.islOff[isl]:r.islOff[isl+1]]
 }
 
 // MaxSwitchSizes exposes the per-island bound the router enforces.
@@ -466,15 +534,26 @@ func (r *Router) Route(f soc.Flow) error {
 		}
 	}
 	if path == nil {
-		lat := "unconstrained"
-		if f.MaxLatencyCycles > 0 {
-			//noclint:ignore bannedcall error-path message formatting, not a cache key
-			lat = fmt.Sprintf("lat<=%.0f", f.MaxLatencyCycles)
-		}
-		return fmt.Errorf("route: no feasible path for flow %d->%d (%.0f MB/s, %s)",
-			f.Src, f.Dst, f.BandwidthBps/1e6, lat)
+		return &noPathError{f}
 	}
 	return r.commit(f, path)
+}
+
+// noPathError reports a flow no feasible path exists for. The message
+// is formatted only when read: a sweep discards most of these with the
+// infeasible candidate they fail.
+type noPathError struct{ f soc.Flow }
+
+func (e *noPathError) Error() string {
+	f := e.f
+	lat := "unconstrained"
+	if f.MaxLatencyCycles > 0 {
+		//noclint:ignore bannedcall error-path message formatting, not a cache key
+		lat = fmt.Sprintf("lat<=%.0f", f.MaxLatencyCycles)
+	}
+	//noclint:ignore bannedcall error-path message formatting, not a cache key
+	return fmt.Sprintf("route: no feasible path for flow %d->%d (%.0f MB/s, %s)",
+		f.Src, f.Dst, f.BandwidthBps/1e6, lat)
 }
 
 // routeBackups runs the survivability pass: for every committed
@@ -647,7 +726,7 @@ func grow[T any](s []T, n int) []T {
 // returns the switch path or nil when disconnected.
 func (r *Router) shortest(f soc.Flow, src, dst topology.SwitchID, latOnly bool) []topology.SwitchID {
 	sub := r.subgraphFor(r.top.Spec.IslandOf[f.Src], r.top.Spec.IslandOf[f.Dst])
-	ls, ld := sub.local[src], sub.local[dst]
+	ls, ld := sub.localOf(src), sub.localOf(dst)
 	if ls < 0 || ld < 0 {
 		return nil // endpoint switch outside the admissible islands
 	}
@@ -655,7 +734,7 @@ func (r *Router) shortest(f soc.Flow, src, dst topology.SwitchID, latOnly bool) 
 		r.scratch = scratchPool.Get().(*graph.Scratch)
 	}
 	r.begin(f, sub, latOnly)
-	path, c := r.scratch.ShortestPathDense(len(sub.verts), sub.rank, int(ls), int(ld), r.costFn)
+	path, c := r.scratch.ShortestPathDense(len(sub.verts), sub.rank, ls, ld, r.costFn)
 	if math.IsInf(c, 1) {
 		return nil
 	}

@@ -241,7 +241,7 @@ func TestMaxSwitchSizesDerived(t *testing.T) {
 // not ranked after v.
 func (r *Router) arc(u, v topology.SwitchID, srcIsl, dstIsl soc.IslandID) bool {
 	sub := r.subgraphFor(srcIsl, dstIsl)
-	lu, lv := sub.local[u], sub.local[v]
+	lu, lv := sub.localOf(u), sub.localOf(v)
 	return lu >= 0 && lv >= 0 && sub.rank[lu] <= sub.rank[lv]
 }
 

@@ -711,7 +711,13 @@ func (t *Topology) ValidateRouted() error {
 // outside X traverses a switch inside X. (Routes that start or end in X
 // are legitimately lost when X is gated.)
 func (t *Topology) ValidateShutdownSafe() error {
-	off := make([]bool, len(t.Spec.Islands))
+	var buf [32]bool // the mask stays on the stack for up to 32 islands
+	off := buf[:0]
+	if n := len(t.Spec.Islands); n <= len(buf) {
+		off = buf[:n]
+	} else {
+		off = make([]bool, n)
+	}
 	for islIdx := range t.Spec.Islands {
 		isl := soc.IslandID(islIdx)
 		if !t.IslandShutdownable(isl) {

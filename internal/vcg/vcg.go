@@ -44,7 +44,7 @@ type VCG struct {
 // [0,1]. Flows whose endpoints are not both in isl are ignored (they are
 // inter-island flows, routed in Algorithm 1 step 15 instead).
 func Build(spec *soc.Spec, isl soc.IslandID, alpha float64) (*VCG, error) {
-	if alpha < 0 || alpha > 1 {
+	if !(alpha >= 0 && alpha <= 1) { // written so that NaN fails too
 		return nil, fmt.Errorf("vcg: alpha %g outside [0,1]", alpha)
 	}
 	cores := spec.CoresIn(isl)

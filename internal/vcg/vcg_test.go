@@ -93,6 +93,9 @@ func TestBuildErrors(t *testing.T) {
 	if _, err := Build(spec(), 0, 1.1); err == nil {
 		t.Fatal("alpha>1 accepted")
 	}
+	if _, err := Build(spec(), 0, math.NaN()); err == nil {
+		t.Fatal("NaN alpha accepted")
+	}
 	s := spec()
 	s.IslandOf = []soc.IslandID{0, 0, 0, 0}
 	if _, err := Build(s, 1, 0.5); err == nil {
